@@ -1,12 +1,14 @@
 """Closed-loop benchmark of the avekit command line.
 
-    python3 clibench/run.py --workload paper-tridiag --seed 1 --seconds 52 --trace 0
+    python3 clibench/run.py --workload paper-tridiag --seed 1 --seconds 58 --trace 0
 
 Run from the root of a checkout.  One benchmark process makes one CLI call
 at a time, each a fresh ``python -c 'from avekit.cli import main ...'``
 process on the checkout's ``src``, and checks every output against values
 it works out itself (see checks.py).  It repeats whole rounds of the
 workload's calls while another round still fits into ``--seconds``.
+Each call's wall time is scaled by a speed probe made next to it (see
+PROBE), and the end-to-end times are medians of these scaled times.
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` makes the
 same calls in-process through ``avekit.cli.main(argv)``, alternating
@@ -65,6 +67,17 @@ CHILD_ENV = {
 CALL_TIMEOUT_S = 90.0
 SETUP_LAUNCHES = 5
 IMPORTTIME_LAUNCHES = 3
+# On a shared 2-vCPU VM (the reference machine of the README) the same
+# call runs at speeds up to 1.6x apart, in spells of a few seconds.  A bare
+# interpreter start (PROBE), launched between every two timed children,
+# measures the speed of the moment: it does what the start of every CLI
+# call does (exec, dynamic loading, site imports) and nothing of the
+# program.  A child's wall time is scaled by REF_PROBE_S over the median
+# of the four probes nearest to it (two before, two after).  That is the
+# time the call would have taken at the speed at which the probe takes
+# REF_PROBE_S, about its median on the reference machine.
+PROBE = [sys.executable, "-c", "pass"]
+REF_PROBE_S = 0.060
 
 END_TO_END = {
     "setup_s": "s",
@@ -72,6 +85,33 @@ END_TO_END = {
     **{f"{kind}_s": "s" for kind in workloads.KINDS},
     "peak_rss_mb": "MB",
 }
+
+
+def speed_probe() -> float:
+    """Wall seconds of one bare interpreter start.  The wait blocks: a wait
+    with a timeout polls, and its steps would show in the time."""
+    t0 = time.perf_counter()
+    code = subprocess.Popen(PROBE, env=CHILD_ENV, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).wait()
+    wall = time.perf_counter() - t0
+    if code != 0:
+        raise BenchError(f"{' '.join(PROBE)} exited with {code}")
+    return wall
+
+
+def paced(run, items) -> tuple[list, list[float]]:
+    """``run(item)`` for each item, with a speed probe before the first and
+    after each one; return the results and, for each item, the median of
+    the probes nearest to it."""
+    probes = [speed_probe()]
+    results = []
+    for item in items:
+        results.append(run(item))
+        probes.append(speed_probe())
+    return results, [statistics.median(probes[max(0, k - 1):k + 3]) for k in range(len(results))]
+
+
+def normalised(wall: float, probe_s: float) -> float:
+    return wall * REF_PROBE_S / probe_s
 
 
 class BenchError(Exception):
@@ -159,19 +199,20 @@ class InProcessRunner:
 def run_round(calls, runner) -> dict:
     """Make every call of one round, then check each output."""
     t0 = time.perf_counter()
-    raw = [runner(call.args) for call in calls]
+    raw, probes = paced(runner, [call.args for call in calls])
     wall = time.perf_counter() - t0
     results = []
-    for call, (code, secs, rss, text) in zip(calls, raw):
+    for call, (code, secs, rss, text), probe_s in zip(calls, raw, probes):
         try:
             problems = [f"killed after {CALL_TIMEOUT_S:g} s"] if code < 0 else call.check(code, text)
         except (KeyError, IndexError, TypeError, ValueError) as e:
             problems = [f"output lacks an expected field or value: {e!r}"]
         results.append(
             {"args": list(call.args), "kind": call.kind, "exit": code, "wall_s": secs,
-             "max_rss_mb": rss, "problems": problems, "known_failure": call.known_failure}
+             "probe_s": probe_s, "norm_s": normalised(secs, probe_s), "max_rss_mb": rss,
+             "problems": problems, "known_failure": call.known_failure}
         )
-    return {"wall_s": wall, "calls": results}
+    return {"wall_s": wall, "norm_s": sum(c["norm_s"] for c in results), "calls": results}
 
 
 def run_rounds(calls, runner, seconds: float, before=None, after=None) -> list[dict]:
@@ -193,12 +234,12 @@ def run_rounds(calls, runner, seconds: float, before=None, after=None) -> list[d
 def end_to_end(rounds: list[dict], setup_times: list[float]) -> dict[str, float]:
     def per_round(kind):
         return statistics.median(
-            sum(c["wall_s"] for c in r["calls"] if c["kind"] == kind) for r in rounds
+            sum(c["norm_s"] for c in r["calls"] if c["kind"] == kind) for r in rounds
         )
 
     metrics = {
         "setup_s": statistics.median(setup_times),
-        "round_s": statistics.median(r["wall_s"] for r in rounds),
+        "round_s": statistics.median(r["norm_s"] for r in rounds),
     }
     metrics.update({f"{kind}_s": per_round(kind) for kind in workloads.KINDS})
     metrics["peak_rss_mb"] = max(c["max_rss_mb"] for r in rounds for c in r["calls"])
@@ -221,11 +262,11 @@ def traced_run(calls, work: Path, seconds: float, spans_path: Path) -> tuple[lis
     def after(i, rnd):
         tr = state["tracer"]
         if tr is None:
-            state["plain"].append(rnd["wall_s"])
+            state["plain"].append(rnd["norm_s"])
             return
         tr.uninstall()
         state["tracer"], state["last"] = None, tr
-        state["traced"].append(rnd["wall_s"])
+        state["traced"].append(rnd["norm_s"])
         layers, state["absent"] = tracing.layer_metrics(tr)
         state["layers"].append(layers)
 
@@ -267,7 +308,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.BUILDERS))
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=52)
+    parser.add_argument("--seconds", type=int, default=58)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seed < 0 or args.seconds < 1:
@@ -292,7 +333,10 @@ def measure(args, work: Path) -> int:
     code, _, out, err = python(work, "-c", "import avekit; print(avekit.__file__)")
     if code != 0 or not Path(out.strip()).resolve().is_relative_to(SRC.resolve()):
         raise BenchError(f"avekit does not import from {SRC}: {out}{err}")
-    setup_times = [] if args.trace else [python(work, "-c", "import avekit")[1] for _ in range(SETUP_LAUNCHES)]
+    setup_times = []
+    if not args.trace:
+        walls, probes = paced(lambda _: python(work, "-c", "import avekit")[1], range(SETUP_LAUNCHES))
+        setup_times = [normalised(w, p) for w, p in zip(walls, probes)]
 
     sub = SubprocessRunner(work)
     try:
@@ -325,7 +369,8 @@ def measure(args, work: Path) -> int:
             "workload": args.workload, "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
             "sizes": workloads.SIZES[args.workload],
             "child_env": {**CHILD_PYTHON_ENV, "PYTHONPATH": "<checkout>/src", **THREAD_ENV},
-            "call_timeout_s": CALL_TIMEOUT_S, "setup_launches": SETUP_LAUNCHES, "rounds": len(rounds),
+            "call_timeout_s": CALL_TIMEOUT_S, "setup_launches": SETUP_LAUNCHES,
+            "probe": PROBE[1:], "ref_probe_s": REF_PROBE_S, "rounds": len(rounds),
             "calls_per_round": len(calls),
         },
         **report,
