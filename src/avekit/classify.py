@@ -76,8 +76,7 @@ def classify(p: AveProblem, tols: Tolerances = DEFAULT_TOLS) -> SolvabilityVerdi
     particular the nonsymmetric v.b = 0 case, which the certificates do
     not cover.
     """
-    a = p.dense_a()
-    report = diagnostics(a, tols)
+    report = diagnostics(p.a, tols)
 
     if report.satisfies_3a:
         return SolvabilityVerdict(
@@ -104,7 +103,7 @@ def classify(p: AveProblem, tols: Tolerances = DEFAULT_TOLS) -> SolvabilityVerdi
             return SolvabilityVerdict(
                 Verdict.NO_SOLUTION, VerdictBasis.CONDITION_3B_POS_VB, vb, None, report
             )
-        if _is_symmetric(a):
+        if _is_symmetric(p.dense_a()):
             u = family_anchor(p)
             return SolvabilityVerdict(
                 Verdict.EXISTS_NOT_UNIQUE,

@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Subcommands: solve, classify, oracle, generate, convert, reproduce.
-Exit codes: 0 ok, 2 parse error, 3 singular step, 4 iteration cap,
-5 oracle size cap, 6 usage error (argparse's own syntax failures exit 2).
+Exit codes: 0 ok (solve: Converged or SignStabilized), 2 parse error,
+3 singular step, 4 iteration cap, 5 oracle size cap, 6 usage error
+(argparse's own syntax failures exit 2).
 Every subcommand accepts --json for machine-readable output; numeric
 fields are emitted at full precision so they round-trip.
 """
@@ -26,7 +27,7 @@ from .errors import (
     SingularSystem,
 )
 from .mclass import ConditionReport, Tolerances, check_condition_3b
-from .oracle import count_solutions, enumerate_solutions
+from .oracle import enumerate_solutions
 from .problems import (
     ProblemFile,
     convert_max_form,
@@ -45,10 +46,6 @@ EXIT_SINGULAR = 3
 EXIT_CAP = 4
 EXIT_ORACLE_SIZE = 5
 EXIT_USAGE = 6
-
-# cmd_solve auto-applies the (3b) starting-point guard, but the certificate
-# check costs an O(n^3) dense factorization, so it only runs below this size.
-GUARD_CHECK_MAX_N = 512
 
 # Reference results for the tridiagonal benchmark family (reproduce --table1):
 # size -> (iterations, residual).
@@ -127,13 +124,12 @@ def cmd_solve(args) -> int:
         cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, x0=x0)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    if p.n <= GUARD_CHECK_MAX_N:
-        ok, v = check_condition_3b(p.dense_a())
-        if ok:
-            # minimal certificate record; the inverse-norm diagnostics are
-            # not needed to place the starting point
-            cert = ConditionReport(True, False, True, v, None, None, ())
-            cfg = guard_d0(p, cfg, cert)
+    ok, v = check_condition_3b(p.a)
+    if ok:
+        # minimal certificate record; the inverse-norm diagnostics are
+        # not needed to place the starting point
+        cert = ConditionReport(True, False, True, v, None, None, ())
+        cfg = guard_d0(p, cfg, cert)
     report = gnm_solve(p, cfg)
 
     if args.json:
@@ -235,7 +231,7 @@ def cmd_oracle(args) -> int:
     pf, digest = _load_file(args.file)
     p = pf.to_problem()
     sols = enumerate_solutions(p, verify_tol=args.tol)
-    count = count_solutions(p, verify_tol=args.tol)
+    count = sols.count()
 
     if args.json:
         _print_json(

@@ -1,9 +1,11 @@
 """Dense and tridiagonal linear-system kernels plus spectral diagnostics.
 
-Dense factorizations are delegated to LAPACK through scipy; the Thomas
-sweep, power iterations, kernel extraction, and the irreducibility check
-are written out here because their exact behavior (tolerances, flags,
-deterministic starting vectors) is part of the library contract.
+Dense factorizations are delegated to LAPACK through scipy; elimination
+without pivoting (dense, blocked, and the O(n) tridiagonal recurrence),
+the Thomas sweep, power iterations, kernel extraction, and the
+irreducibility check are written out here because their exact behavior
+(tolerances, flags, stopping points, deterministic starting vectors) is
+part of the library contract.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from .errors import SingularSystem
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_POWER_TOL = 1e-10
 DEFAULT_POWER_MAX_ITER = 10_000
+# Panel width of lu_nopivot: wide enough that the trailing updates are
+# BLAS-3 products, narrow enough that the per-column Python loop is cheap.
+NOPIVOT_BLOCK = 32
 
 
 def _square(m) -> np.ndarray:
@@ -107,6 +112,33 @@ def inverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return scipy.linalg.lu_solve((f.packed, f.ipiv), np.eye(f.n), check_finite=False)
 
 
+def lu_nopivot(m, floor: float) -> tuple[np.ndarray, int]:
+    """Gaussian elimination without row exchanges, blocked right-looking.
+
+    Returns the packed factors (unit-lower multipliers strictly below the
+    diagonal, U on and above it) and the number k of leading pivots above
+    ``floor``.  Elimination stops at the first pivot that is not, so when
+    k < n only pivots 0..k and the multipliers of columns 0..k-1 are
+    meaningful.  For a Z-matrix the pivots are the ratios of consecutive
+    leading principal minors.
+    """
+    u = np.array(_square(m))
+    n = u.shape[0]
+    for s in range(0, n, NOPIVOT_BLOCK):
+        e = min(s + NOPIVOT_BLOCK, n)
+        for k in range(s, e):
+            if not u[k, k] > floor:
+                return u, k
+            u[k + 1 :, k] /= u[k, k]
+            u[k + 1 :, k + 1 : e] -= np.outer(u[k + 1 :, k], u[k, k + 1 : e])
+        if e < n:
+            u[s:e, e:] = scipy.linalg.solve_triangular(
+                u[s:e, s:e], u[s:e, e:], lower=True, unit_diagonal=True, check_finite=False
+            )
+            u[e:, e:] -= u[e:, s:e] @ u[s:e, e:]
+    return u, n
+
+
 @dataclass(frozen=True)
 class TridiagonalMatrix:
     """Banded storage for a tridiagonal matrix: sub, main, super diagonals."""
@@ -156,6 +188,23 @@ class TridiagonalMatrix:
         if self.n > 1:
             d += np.diag(self.sub, -1) + np.diag(self.sup, 1)
         return d
+
+
+def tridiag_pivots(t: TridiagonalMatrix, floor: float) -> np.ndarray:
+    """Pivots of LU without pivoting in O(n): p_0 = m_0 and
+    p_i = m_i - sub_{i-1} sup_{i-1} / p_{i-1}.
+
+    Stops after the first pivot that is not above ``floor``, so every
+    returned pivot but the last is above it.
+    """
+    main = t.main.tolist()
+    coupling = (t.sub * t.sup).tolist()
+    pivots = [main[0]]
+    for m, c in zip(main[1:], coupling):
+        if not pivots[-1] > floor:
+            break
+        pivots.append(m - c / pivots[-1])
+    return np.array(pivots)
 
 
 def tridiag_solve(t: TridiagonalMatrix, rhs) -> np.ndarray:

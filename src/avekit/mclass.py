@@ -1,5 +1,5 @@
 """Structural matrix classification: Z/M-matrix tests and the two
-termination certificates, plus the inverse-based diagnostic norms.
+termination certificates, plus the diagnostic norms of A^-1.
 
 Certificate (3a) asks for A - I to be a nonsingular M-matrix.  Certificate
 (3b) asks for A - I to be singular with a one-dimensional strictly
@@ -8,6 +8,16 @@ it to be an M-matrix; the universally quantified clause is decided here by
 the sufficient "singular irreducible M-matrix" criterion (Z-matrix +
 1-dimensional positive left kernel + irreducibility + M-matrix after a
 small positive diagonal shift).
+
+Both rest on one test: a Z-matrix is a nonsingular M-matrix iff every
+pivot of its LU factorization without pivoting is positive, that is, iff
+all its leading principal minors are (Berman & Plemmons, *Nonnegative
+Matrices in the Mathematical Sciences*, Thm 6.2.3).  One elimination of
+A - I decides (3a) (all n pivots positive) and the rank part of (3b) (the
+first n - 1 positive, the last zero), and its factors give the left kernel
+vector.  The structure of A, dense or :class:`TridiagonalMatrix`, is chosen
+once in :func:`_structure`; on tridiagonal input every step is O(n) in
+memory, and so is every diagnostic of an M-matrix A.
 """
 
 from __future__ import annotations
@@ -15,15 +25,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import as_square_matrix
 from .linalg import (
+    TridiagonalMatrix,
     inverse,
     is_irreducible,
     lu_factor,
-    null_space_left,
-    spectral_norm,
+    lu_nopivot,
     spectral_radius_nonneg,
+    tridiag_pivots,
 )
 
 # The condition-(3b) shift probe uses eps = EPS_SHIFT_REL * max|entry of A - I|.
@@ -34,10 +46,10 @@ EPS_SHIFT_REL = 1e-8
 class Tolerances:
     """The single knob set shared by all classification verdicts.
 
-    zero_tol bounds what counts as a nonpositive off-diagonal entry,
-    rank_tol is the relative LU pivot threshold for singularity and kernel
-    rank, and entry_tol is the relative slack when testing inverse
-    nonnegativity.
+    zero_tol bounds what counts as a nonpositive off-diagonal entry and
+    rank_tol is the relative pivot threshold for singularity, kernel rank
+    and the M-matrix pivot test.  entry_tol, the relative slack of the
+    former inverse-nonnegativity test, no longer decides any verdict.
     """
 
     zero_tol: float = 1e-12
@@ -68,29 +80,197 @@ class ConditionReport:
     notes: tuple[str, ...]
 
 
+@dataclass(frozen=True)
+class _Elimination:
+    """Leading pivots of LU without pivoting, computed up to and including
+    the first that is not above ``floor``, and the factors behind them."""
+
+    n: int
+    pivots: np.ndarray
+    factors: np.ndarray
+    floor: float
+
+    @property
+    def all_positive(self) -> bool:
+        return self.pivots.size == self.n and bool(self.pivots[-1] > self.floor)
+
+    @property
+    def only_last_zero(self) -> bool:
+        return self.pivots.size == self.n and bool(abs(self.pivots[-1]) <= self.floor)
+
+
+class _Dense:
+    """Certificate operations on a dense matrix."""
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.n = a.shape[0]
+
+    def scale(self) -> float:
+        return float(np.abs(self.a).max())
+
+    def is_z(self, zero_tol: float) -> bool:
+        return bool(np.all(self.a[~np.eye(self.n, dtype=bool)] <= zero_tol))
+
+    def shifted(self, c: float) -> _Dense:
+        a = np.array(self.a)
+        a[np.diag_indices(self.n)] += c
+        return _Dense(a)
+
+    def eliminate(self, floor: float) -> _Elimination:
+        packed, k = lu_nopivot(self.a, floor)
+        return _Elimination(self.n, np.diag(packed)[: k + 1], packed, floor)
+
+    def left_kernel(self, packed: np.ndarray) -> np.ndarray:
+        # A = L U with U's last row zero, so v^T L = e_n^T
+        e_n = np.zeros(self.n)
+        e_n[-1] = 1.0
+        return scipy.linalg.solve_triangular(
+            packed, e_n, trans="T", lower=True, unit_diagonal=True, check_finite=False
+        )
+
+    def is_irreducible(self, zero_tol: float) -> bool:
+        return is_irreducible(self.a, zero_tol)
+
+    def lu_singular(self, rank_tol: float) -> bool:
+        return lu_factor(self.a, rank_tol).singular
+
+    def sigma_min(self) -> float:
+        return float(scipy.linalg.svdvals(self.a, check_finite=False)[-1])
+
+    def lambda_min(self) -> float:
+        """Smallest real part of the spectrum (real for an M-matrix)."""
+        return float(scipy.linalg.eigvals(self.a, check_finite=False).real.min())
+
+    def dense(self) -> np.ndarray:
+        return self.a
+
+
+def _lowest_eigenvalue(main: np.ndarray, off: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric tridiagonal (off, main, off)."""
+    return float(
+        scipy.linalg.eigvalsh_tridiagonal(
+            main, off, select="i", select_range=(0, 0), check_finite=False
+        )[0]
+    )
+
+
+class _Tridiagonal:
+    """Certificate operations on a tridiagonal matrix, O(n) memory each."""
+
+    def __init__(self, t: TridiagonalMatrix):
+        self.t = t
+        self.n = t.n
+
+    def scale(self) -> float:
+        return float(np.abs(np.concatenate((self.t.sub, self.t.main, self.t.sup))).max())
+
+    def is_z(self, zero_tol: float) -> bool:
+        return bool(np.all(self.t.sub <= zero_tol) and np.all(self.t.sup <= zero_tol))
+
+    def shifted(self, c: float) -> _Tridiagonal:
+        return _Tridiagonal(TridiagonalMatrix(self.t.sub, self.t.main + c, self.t.sup))
+
+    def eliminate(self, floor: float) -> _Elimination:
+        pivots = tridiag_pivots(self.t, floor)
+        return _Elimination(self.n, pivots, pivots, floor)
+
+    def left_kernel(self, pivots: np.ndarray) -> np.ndarray:
+        # L has multipliers sub_i / p_i, so L^T v = e_n gives
+        # v_i = -(sub_i / p_i) v_{i+1} from v_{n-1} = 1
+        ratios = -self.t.sub / pivots[:-1]
+        return np.append(np.cumprod(ratios[::-1])[::-1], 1.0)
+
+    def is_irreducible(self, zero_tol: float) -> bool:
+        return bool(np.all(np.abs(self.t.sub) > zero_tol) and np.all(np.abs(self.t.sup) > zero_tol))
+
+    def lu_singular(self, rank_tol: float) -> bool:
+        if self.n <= 2:
+            # scipy's dgttrf wrapper rejects n <= 2; the dense copy is tiny
+            return lu_factor(self.t.to_dense(), rank_tol).singular
+        # pivots of LAPACK's partially pivoted tridiagonal LU, as in lu_factor
+        u_diag = scipy.linalg.lapack.dgttrf(self.t.sub, self.t.main, self.t.sup)[1]
+        scale = self.scale()
+        return scale == 0.0 or bool(np.any(np.abs(u_diag) < rank_tol * scale))
+
+    def sigma_min(self) -> float:
+        t = self.t
+        if np.array_equal(t.sub, t.sup):
+            lam = _lowest_eigenvalue(t.main, t.sub)
+            if lam > 0.0:
+                return lam
+        # smallest eigenvalue of the pentadiagonal A^T A, in upper band storage
+        band = np.zeros((3, self.n))
+        band[2] = t.main**2
+        band[2, 1:] += t.sup**2
+        band[2, :-1] += t.sub**2
+        band[1, 1:] = t.main[:-1] * t.sup + t.sub * t.main[1:]
+        band[0, 2:] = t.sub[:-1] * t.sup[1:]
+        lam = scipy.linalg.eigvals_banded(
+            band, select="i", select_range=(0, 0), check_finite=False
+        )[0]
+        return float(np.sqrt(max(lam, 0.0)))
+
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue of a Z-matrix, through the symmetric matrix
+        with off-diagonals sqrt(sub * sup), which has the same spectrum."""
+        return _lowest_eigenvalue(self.t.main, np.sqrt(np.maximum(self.t.sub * self.t.sup, 0.0)))
+
+    def dense(self) -> np.ndarray:
+        return self.t.to_dense()
+
+
+def _structure(a) -> _Dense | _Tridiagonal:
+    """The one place where the certificate engine picks the structure."""
+    if isinstance(a, TridiagonalMatrix):
+        return _Tridiagonal(a)
+    return _Dense(as_square_matrix(a))
+
+
+def _eliminate(s: _Dense | _Tridiagonal, tols: Tolerances) -> _Elimination:
+    return s.eliminate(tols.rank_tol * s.scale())
+
+
+def _is_m(s: _Dense | _Tridiagonal, tols: Tolerances) -> bool:
+    return s.is_z(tols.zero_tol) and _eliminate(s, tols).all_positive
+
+
+def _kernel_3b(
+    ai: _Dense | _Tridiagonal, elim: _Elimination, tols: Tolerances
+) -> np.ndarray | None:
+    """The positive left kernel vector of the Z-matrix A - I when the
+    remaining (3b) clauses hold, from its elimination; else None."""
+    if not elim.only_last_zero:
+        return None
+    v = ai.left_kernel(elim.factors)
+    v = v / v[np.argmax(np.abs(v))]
+    if not (v > 0).all():
+        return None
+    if not ai.is_irreducible(tols.zero_tol):
+        return None
+    scale = ai.scale()
+    eps = EPS_SHIFT_REL * (scale if scale > 0.0 else 1.0)
+    if not _is_m(ai.shifted(eps), tols):
+        return None
+    v.setflags(write=False)
+    return v
+
+
 def is_z_matrix(m, zero_tol: float = DEFAULT_TOLS.zero_tol) -> bool:
     """True iff every off-diagonal entry is <= zero_tol."""
-    a = as_square_matrix(m)
-    mask = ~np.eye(a.shape[0], dtype=bool)
-    return bool(np.all(a[mask] <= zero_tol))
+    return _structure(m).is_z(zero_tol)
 
 
 def is_m_matrix(m, tols: Tolerances = DEFAULT_TOLS) -> bool:
-    """True iff m is a Z-matrix whose inverse exists and is entrywise
-    nonnegative (up to entry_tol relative slack); singular inputs are False."""
-    a = as_square_matrix(m)
-    if not is_z_matrix(a, tols.zero_tol):
-        return False
-    if lu_factor(a, tols.rank_tol).singular:
-        return False
-    inv = inverse(a, tols.rank_tol)
-    return bool(inv.min() >= -tols.entry_tol * np.abs(inv).max())
+    """True iff m is a Z-matrix whose pivots without pivoting all exceed
+    rank_tol times its largest entry magnitude (a nonsingular M-matrix);
+    singular inputs are False."""
+    return _is_m(_structure(m), tols)
 
 
 def check_condition_3a(a, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """Certificate (3a): A - I is a nonsingular M-matrix."""
-    a = as_square_matrix(a)
-    return is_m_matrix(a - np.eye(a.shape[0]), tols)
+    return _is_m(_structure(a).shifted(-1.0), tols)
 
 
 def check_condition_3b(
@@ -103,36 +283,35 @@ def check_condition_3b(
     sufficient; reducible singular matrices are rejected even though the
     underlying condition might admit them.
     """
-    a = as_square_matrix(a)
-    n = a.shape[0]
-    ai = a - np.eye(n)
-    if not is_z_matrix(ai, tols.zero_tol):
+    ai = _structure(a).shifted(-1.0)
+    if not ai.is_z(tols.zero_tol):
         return False, None
-    ns = null_space_left(ai, tols.rank_tol)
-    if ns.dimension != 1 or ns.basis_vector is None:
-        return False, None
-    v = ns.basis_vector
-    if not (v > 0).all():
-        return False, None
-    if not is_irreducible(ai, tols.zero_tol):
-        return False, None
-    scale = float(np.abs(ai).max())
-    eps = EPS_SHIFT_REL * (scale if scale > 0.0 else 1.0)
-    if not is_m_matrix(ai + eps * np.eye(n), tols):
-        return False, None
-    return True, v
+    v = _kernel_3b(ai, _eliminate(ai, tols), tols)
+    return v is not None, v
 
 
 def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
-    """Run all certificate checks and attach the inverse-based norms."""
-    a = as_square_matrix(a)
-    n = a.shape[0]
-    ai = a - np.eye(n)
+    """Run all certificate checks from one elimination of A - I and attach
+    ||A^-1||_2 and rho(|A^-1|).
+
+    ||A^-1||_2 is 1/sigma_min(A).  When A is a nonsingular M-matrix,
+    A^-1 >= 0 and rho(|A^-1|) = 1/lambda_min(A); when A^-1 is otherwise of
+    one sign, it is 1/min|lambda(A)|.  Only an A^-1 with entries of both
+    signs falls back to power iteration on |A^-1|, whose cap is noted.
+    """
+    s = _structure(a)
+    ai = s.shifted(-1.0)
     notes: list[str] = []
 
-    z = is_z_matrix(ai, tols.zero_tol)
-    s3a = is_m_matrix(ai, tols)
-    s3b, v = check_condition_3b(a, tols)
+    z = ai.is_z(tols.zero_tol)
+    s3a = False
+    v = None
+    if z:
+        elim = _eliminate(ai, tols)
+        s3a = elim.all_positive
+        if not s3a:
+            v = _kernel_3b(ai, elim, tols)
+    s3b = v is not None
 
     if not z:
         notes.append("A - I is not a Z-matrix, so neither certificate can hold")
@@ -144,28 +323,33 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
             "(certificate 3b); this criterion is sufficient, not proven "
             "equivalent, and rejects reducible singular cases"
         )
-    if z and not s3a and not s3b and lu_factor(ai, tols.rank_tol).singular:
+    if z and not s3a and not s3b and ai.lu_singular(tols.rank_tol):
         notes.append(
             "A - I is a singular Z-matrix but fails the irreducible-kernel probe"
         )
 
     norm_a_inv = None
     rho_abs_a_inv = None
-    if lu_factor(a, tols.rank_tol).singular:
+    # A = (A - I) + I is a nonsingular M-matrix whenever A - I is an
+    # M-matrix, singular or not, so only the other cases need a test
+    if s3a or s3b or _is_m(s, tols):
+        norm_a_inv = 1.0 / s.sigma_min()
+        rho_abs_a_inv = 1.0 / s.lambda_min()
+    elif s.lu_singular(tols.rank_tol):
         notes.append("A is singular; inverse-based diagnostics unavailable")
     else:
-        inv = inverse(a, tols.rank_tol)
-        rn = spectral_norm(inv)
-        rr = spectral_radius_nonneg(np.abs(inv))
-        norm_a_inv = rn.value
-        rho_abs_a_inv = rr.value
-        if not rn.converged:
-            notes.append(
-                "spectral-norm power iteration hit its cap; ||A^-1|| is a lower estimate"
-            )
-        if not rr.converged:
-            notes.append(
-                "spectral-radius power iteration hit its cap; rho(|A^-1|) is an estimate"
-            )
+        norm_a_inv = 1.0 / s.sigma_min()
+        dense = s.dense()
+        inv = inverse(dense, tols.rank_tol)
+        if inv.min() >= 0.0 or inv.max() <= 0.0:
+            # |A^-1| = +-A^-1, whose Perron root is its spectral radius
+            rho_abs_a_inv = 1.0 / float(np.abs(scipy.linalg.eigvals(dense)).min())
+        else:
+            rr = spectral_radius_nonneg(np.abs(inv))
+            rho_abs_a_inv = rr.value
+            if not rr.converged:
+                notes.append(
+                    "spectral-radius power iteration hit its cap; rho(|A^-1|) is an estimate"
+                )
 
     return ConditionReport(z, s3a, s3b, v, norm_a_inv, rho_abs_a_inv, tuple(notes))

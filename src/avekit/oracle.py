@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import AveProblem, residual
 from .errors import DimensionTooLarge
@@ -47,6 +46,18 @@ class SolutionSet:
     singular_branches: tuple[SingularBranch, ...]
     exhaustive_bound: int
 
+    def count(self) -> SolutionCount:
+        """Zero / One / FinitelyMany(k), or ContinuumSuspected when any
+        singular branch is consistent."""
+        if any(br.consistent for br in self.singular_branches):
+            return SolutionCount(SolutionCountKind.CONTINUUM_SUSPECTED)
+        k = len(self.isolated)
+        if k == 0:
+            return SolutionCount(SolutionCountKind.ZERO, 0)
+        if k == 1:
+            return SolutionCount(SolutionCountKind.ONE, 1)
+        return SolutionCount(SolutionCountKind.FINITELY_MANY, k)
+
 
 class SolutionCountKind(str, Enum):
     ZERO = "Zero"
@@ -74,6 +85,10 @@ def _sign_consistent_affine(
     """Does x0 + kernel @ t contain a point with s_i * x_i >= -tol for all i?"""
     if kernel.shape[1] == 0:
         return bool(np.all(s * x0 >= -tol))
+    # imported here: only consistent singular branches need it, and it
+    # would otherwise add its import time to every command
+    from scipy.optimize import linprog
+
     res = linprog(
         c=np.zeros(kernel.shape[1]),
         A_ub=-(s[:, None] * kernel),
@@ -144,14 +159,5 @@ def count_solutions(
     verify_tol: float = DEFAULT_VERIFY_TOL,
     dedup_tol: float = DEFAULT_DEDUP_TOL,
 ) -> SolutionCount:
-    """Summarize the enumeration: Zero / One / FinitelyMany(k), or
-    ContinuumSuspected when any singular branch is consistent."""
-    sols = enumerate_solutions(p, verify_tol, dedup_tol)
-    if any(br.consistent for br in sols.singular_branches):
-        return SolutionCount(SolutionCountKind.CONTINUUM_SUSPECTED)
-    k = len(sols.isolated)
-    if k == 0:
-        return SolutionCount(SolutionCountKind.ZERO, 0)
-    if k == 1:
-        return SolutionCount(SolutionCountKind.ONE, 1)
-    return SolutionCount(SolutionCountKind.FINITELY_MANY, k)
+    """Summarize the enumeration with :meth:`SolutionSet.count`."""
+    return enumerate_solutions(p, verify_tol, dedup_tol).count()

@@ -90,12 +90,13 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
 
     Both stopping rules are evaluated on every new iterate: the residual
     criterion ||A x - |x| - b|| <= tol, and sign stabilization
-    D(x^{k+1}) == D(x^k), whose verification is the same residual bound.
-    The residual rule decides ties, so a stabilized exact solution reports
-    Converged; a stabilized iterate whose residual stays above tol is a
-    fixed point and runs out the iteration cap.  A singular step matrix is
-    reported as status SingularStep rather than raised, since outside the
-    certificates the iteration may simply be undefined.
+    D(x^{k+1}) == D(x^k).  The residual rule decides ties, so a stabilized
+    iterate within tol reports Converged.  A stabilized iterate above tol
+    reports SignStabilized: it solves [A - D] x = b with D = D(x), so it
+    solves the equation up to rounding and further steps would repeat the
+    same system.  A singular step matrix is reported as status
+    SingularStep rather than raised, since outside the certificates the
+    iteration may simply be undefined.
     """
     x = cfg.x0 if cfg.x0 is not None else np.ones(p.n)
     x = np.asarray(x, dtype=float)
@@ -142,10 +143,7 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
             # pattern also repeated on this step.
             status = SolveStatus.CONVERGED
         elif stabilized:
-            # Sign fixed point whose residual verification failed: every
-            # further step solves the identical system, so the run ends at
-            # the cap instead of reporting an unverified SignStabilized.
-            pass
+            status = SolveStatus.SIGN_STABILIZED
 
     return SolveReport(
         status,

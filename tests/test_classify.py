@@ -13,6 +13,7 @@ from avekit.classify import (
 )
 from avekit.core import AveProblem, residual
 from avekit.errors import AlphaOutOfRange
+from avekit.linalg import TridiagonalMatrix
 from avekit.oracle import SolutionCountKind, count_solutions
 from avekit.problems import gen_example1, gen_example_k, gen_random_3a, gen_random_3b
 
@@ -130,3 +131,19 @@ def test_classifier_witness_agrees_with_oracle():
         sols = enumerate_solutions(p)
         assert v.witness is not None
         assert np.abs(v.witness - sols.isolated[0]).max() <= 1e-8
+
+
+def test_classify_large_tridiagonal_stays_banded(monkeypatch):
+    def refuse(self):
+        raise AssertionError("classify built a dense copy of a tridiagonal matrix")
+
+    monkeypatch.setattr(TridiagonalMatrix, "to_dense", refuse)
+    n = 10_000
+    v = classify(gen_example1(n))
+    assert v.verdict is Verdict.UNIQUE_SOLUTION
+    assert v.basis is VerdictBasis.CONDITION_3A
+    ref = 1.0 / (7.0 - 4.0 * np.cos(np.pi / (n + 1)))
+    assert v.report.norm_a_inv == pytest.approx(ref, rel=1e-12)
+    assert v.report.rho_abs_a_inv == pytest.approx(ref, rel=1e-12)
+    xstar = np.exp(6.0 * np.arange(n) / (n - 1) - 5.0) - 1.0
+    assert np.abs(v.witness - xstar).max() <= 1e-9

@@ -94,6 +94,39 @@ def test_solve_iteration_cap_exit(tmp_path, capsys):
     assert "IterationCapReached" in out
 
 
+def test_solve_guard_runs_for_large_rand3b(tmp_path, capsys):
+    # the (3b) start-point guard must run at every n: without it the first
+    # step matrix A - D(ones) = A - I is singular
+    path = str(tmp_path / "rand3b_600.ave")
+    assert main(["generate", "--family", "rand3b", "--n", "600", "--seed", "1", "-o", path]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, "solve", path, "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["status"] == "Converged"
+    assert result["sign_history"][0][0] == -1
+
+
+def test_oracle_enumerates_once_per_call(ex_files, capsys, monkeypatch):
+    import avekit.cli
+    import avekit.oracle
+
+    calls = []
+    enumerate_solutions = avekit.oracle.enumerate_solutions
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_solutions(*args, **kwargs)
+
+    monkeypatch.setattr(avekit.oracle, "enumerate_solutions", counted)
+    monkeypatch.setattr(avekit.cli, "enumerate_solutions", counted)
+    for flags in ((), ("--json",)):
+        calls.clear()
+        code, _, _ = run(capsys, "oracle", ex_files[4], *flags)
+        assert code == 0
+        assert len(calls) == 1
+
+
 def test_solve_usage_error_on_bad_x0(ex_files, capsys):
     code, _, err = run(capsys, "solve", ex_files[2], "--x0", "1,banana")
     assert code == 6

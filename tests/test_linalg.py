@@ -6,14 +6,17 @@ from numpy.testing import assert_allclose
 
 from avekit.errors import SingularSystem
 from avekit.linalg import (
+    NOPIVOT_BLOCK,
     TridiagonalMatrix,
     inverse,
     is_irreducible,
     lu_factor,
+    lu_nopivot,
     null_space_left,
     solve,
     spectral_norm,
     spectral_radius_nonneg,
+    tridiag_pivots,
     tridiag_solve,
 )
 
@@ -65,6 +68,45 @@ def test_lu_permutation_reconstructs_input():
         assert sorted(f.perm.tolist()) == list(range(n))
         scale = np.abs(a).max()
         assert np.abs(a[f.perm] - f.lower @ f.upper).max() <= 1e-10 * scale
+
+
+# --------------------------------------------------------------- lu_nopivot
+
+
+def test_lu_nopivot_reconstructs_across_blocks():
+    # diagonally dominant, so no pivot vanishes; n spans several panels
+    rng = np.random.default_rng(21)
+    n = 75
+    assert n > 2 * NOPIVOT_BLOCK
+    a = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
+    packed, k = lu_nopivot(a, 0.0)
+    assert k == n
+    lower = np.tril(packed, -1) + np.eye(n)
+    assert np.abs(lower @ np.triu(packed) - a).max() <= 1e-12 * n
+
+
+def test_lu_nopivot_stops_at_first_pivot_not_above_floor():
+    packed, k = lu_nopivot([[1.0, 2.0, 0.0], [3.0, 4.0, 1.0], [0.0, 1.0, 5.0]], 0.0)
+    assert k == 1
+    assert packed[1, 1] == pytest.approx(-2.0)
+    assert lu_nopivot([[0.0, 1.0], [1.0, 0.0]], 0.0)[1] == 0
+
+
+def test_tridiag_pivots_match_dense_elimination():
+    rng = np.random.default_rng(22)
+    n = 40
+    t = TridiagonalMatrix(-rng.uniform(0.1, 1.0, n - 1), rng.uniform(2.0, 3.0, n), -rng.uniform(0.1, 1.0, n - 1))
+    packed, k = lu_nopivot(t.to_dense(), 0.0)
+    assert k == n
+    assert_allclose(tridiag_pivots(t, 0.0), np.diag(packed), rtol=1e-13)
+    # ex1's pivots p_i = 7 - 4 / p_{i-1} fall to the fixed point (7 + sqrt(33)) / 2
+    ex1 = tridiag_pivots(TridiagonalMatrix([-2.0] * 19, [7.0] * 20, [-2.0] * 19), 0.0)
+    assert ex1[-1] == pytest.approx((7.0 + np.sqrt(33.0)) / 2.0, rel=1e-12)
+
+
+def test_tridiag_pivots_stop_after_first_failure():
+    t = TridiagonalMatrix([-1.0, -1.0, -1.0], [1.0, 1.0, 2.0, 2.0], [-1.0, -1.0, -1.0])
+    assert_allclose(tridiag_pivots(t, 0.0), [1.0, 0.0])
 
 
 # -------------------------------------------------------------------- solve

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from avekit.linalg import lu_factor, spectral_norm
+from avekit.linalg import (
+    TridiagonalMatrix,
+    is_irreducible,
+    lu_factor,
+    null_space_left,
+    spectral_norm,
+)
 from avekit.mclass import (
+    EPS_SHIFT_REL,
     Tolerances,
     check_condition_3a,
     check_condition_3b,
@@ -15,7 +22,7 @@ from avekit.mclass import (
     is_m_matrix,
     is_z_matrix,
 )
-from avekit.problems import gen_example1, gen_example_k, gen_random_3a
+from avekit.problems import gen_example1, gen_example_k, gen_random_3a, gen_random_3b
 
 
 def test_z_matrix_cases():
@@ -166,3 +173,170 @@ def test_tolerances_record_defaults():
     assert tols.zero_tol == 1e-12
     assert tols.rank_tol == 1e-10
     assert tols.entry_tol == 1e-9
+
+
+# ------------------------------------------------ one-pass certificate engine
+
+
+def _ex1_inverse_norm(n):
+    """||A^-1|| = rho(|A^-1|) = 1 / (7 - 4 cos(pi / (n + 1))) for ex1."""
+    return 1.0 / (7.0 - 4.0 * np.cos(np.pi / (n + 1)))
+
+
+@pytest.fixture()
+def no_dense_tridiagonal(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the tridiagonal path built a dense copy")
+
+    monkeypatch.setattr(TridiagonalMatrix, "to_dense", refuse)
+
+
+@pytest.mark.parametrize("n", [50, 500, 10_000])
+def test_ex1_diagnostics_match_closed_form(n, no_dense_tridiagonal):
+    d = diagnostics(gen_example1(n).a)
+    assert d.is_z and d.satisfies_3a and not d.satisfies_3b
+    ref = _ex1_inverse_norm(n)
+    assert d.norm_a_inv == pytest.approx(ref, rel=1e-12)
+    assert d.rho_abs_a_inv == pytest.approx(ref, rel=1e-12)
+    assert not any("estimate" in note for note in d.notes)
+
+
+def test_rho_abs_inverse_of_unit_triangular_m_matrix_is_one():
+    # A = I + U with U strictly upper triangular and <= 0: |A^-1| = A^-1 is
+    # unit upper triangular, so its Perron root is exactly 1
+    rng = np.random.default_rng(12)
+    for n in (2, 5, 12, 40):
+        a = np.eye(n) + np.triu(-rng.uniform(0.1, 1.1, (n, n)), 1)
+        d = diagnostics(a)
+        assert d.rho_abs_a_inv == pytest.approx(1.0, abs=1e-12)
+        sigma_min = np.linalg.svd(a, compute_uv=False)[-1]
+        assert d.norm_a_inv == pytest.approx(1.0 / sigma_min, rel=1e-10)
+        assert not any("estimate" in note for note in d.notes)
+
+
+def test_rho_abs_inverse_outside_m_matrices():
+    # A^-1 <= 0 entrywise: exact, through the eigenvalues of A
+    d = diagnostics(-np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    assert d.rho_abs_a_inv == pytest.approx(1.0, rel=1e-14)
+    assert d.norm_a_inv == pytest.approx(1.0, rel=1e-14)
+    # A^-1 of mixed sign: power iteration on |A^-1|
+    a = np.array([[1.0, -0.01], [0.01, 1.0]])
+    inv = np.linalg.inv(a)
+    d = diagnostics(a)
+    assert d.norm_a_inv == pytest.approx(np.linalg.norm(inv, 2), rel=1e-12)
+    want = np.abs(np.linalg.eigvals(np.abs(inv))).max()
+    assert d.rho_abs_a_inv == pytest.approx(want, rel=1e-8)
+
+
+def _reference_is_m(a, tols):
+    """The former inverse-entry M-matrix test."""
+    n = a.shape[0]
+    if not np.all(a[~np.eye(n, dtype=bool)] <= tols.zero_tol):
+        return False
+    if lu_factor(a, tols.rank_tol).singular:
+        return False
+    inv = np.linalg.inv(a)
+    return bool(inv.min() >= -tols.entry_tol * np.abs(inv).max())
+
+
+def _reference_3b(a, tols):
+    """The former (3b) check: LU kernel of (A - I)^T and inverse entries."""
+    n = a.shape[0]
+    ai = a - np.eye(n)
+    if not np.all(ai[~np.eye(n, dtype=bool)] <= tols.zero_tol):
+        return False, None
+    ns = null_space_left(ai, tols.rank_tol)
+    if ns.dimension != 1 or not (ns.basis_vector > 0).all():
+        return False, None
+    if not is_irreducible(ai, tols.zero_tol):
+        return False, None
+    scale = float(np.abs(ai).max())
+    eps = EPS_SHIFT_REL * (scale if scale > 0.0 else 1.0)
+    if not _reference_is_m(ai + eps * np.eye(n), tols):
+        return False, None
+    return True, ns.basis_vector
+
+
+def _parity_matrices():
+    for n in range(2, 61):
+        for seed in (n, 100 + n):
+            yield gen_random_3a(n, seed).dense_a()
+            yield gen_random_3b(n, seed).dense_a()
+    for k in (2, 3, 4, 5):
+        yield gen_example_k(k).dense_a()
+    # Z-matrices A - I = f rho(P) I - P on both sides of the M-matrix boundary
+    rng = np.random.default_rng(5)
+    for n in (3, 8, 20, 40):
+        for f in (0.9, 0.999, 0.99999, 1.00001, 1.001, 1.1):
+            pm = rng.uniform(0.0, 1.0, (n, n))
+            rho = np.abs(np.linalg.eigvals(pm)).max()
+            yield (1.0 + f * rho) * np.eye(n) - pm
+
+
+def test_pivot_test_matches_inverse_entry_test():
+    tols = Tolerances()
+    count = 0
+    for a in _parity_matrices():
+        n = a.shape[0]
+        ai = a - np.eye(n)
+        assert is_m_matrix(ai) == _reference_is_m(ai, tols)
+        assert is_m_matrix(a) == _reference_is_m(a, tols)
+        assert check_condition_3a(a) == _reference_is_m(ai, tols)
+        ok, v = check_condition_3b(a)
+        ref_ok, ref_v = _reference_3b(a, tols)
+        assert ok == ref_ok
+        if ok:
+            assert np.abs(v - ref_v).max() <= 1e-10
+        count += 1
+    assert count == 4 * 59 + 4 + 24
+
+
+def _tridiagonal_cases(rng):
+    """(kind, matrix) pairs: certified (3a)/(3b), mixed-sign, symmetric
+    indefinite and singular tridiagonal matrices."""
+    for n in (1, 2, 3, 7, 30):
+        sub = -rng.uniform(0.1, 1.1, n - 1)
+        sup = -rng.uniform(0.1, 1.1, n - 1)
+        pad_sub, pad_sup = np.r_[np.abs(sub), 0.0], np.r_[0.0, np.abs(sup)]
+        yield "3a", TridiagonalMatrix(sub, 1.0 + pad_sub + pad_sup + rng.uniform(0.1, 1.0, n), sup)
+        # main diagonal chosen so that v > 0 is a left null vector of A - I
+        v = rng.uniform(0.5, 1.5, n)
+        col = np.zeros(n)
+        col[1:] += v[:-1] * sup
+        col[:-1] += v[1:] * sub
+        yield "3b", TridiagonalMatrix(sub, 1.0 - col / v, sup)
+        yield "mixed", TridiagonalMatrix(
+            rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n - 1)
+        )
+        yield "symmetric", TridiagonalMatrix(sub, rng.uniform(-1.0, 3.0, n), sub)
+        yield "singular", TridiagonalMatrix(np.zeros(n - 1), np.r_[0.0, np.ones(n - 1)], np.zeros(n - 1))
+
+
+def test_tridiagonal_engine_matches_dense_engine():
+    rng = np.random.default_rng(3)
+    kinds = set()
+    for kind, t in _tridiagonal_cases(rng):
+        got, want = diagnostics(t), diagnostics(t.to_dense())
+        assert (got.is_z, got.satisfies_3a, got.satisfies_3b) == (
+            want.is_z,
+            want.satisfies_3a,
+            want.satisfies_3b,
+        ), (kind, t.n)
+        assert got.notes == want.notes
+        for key in ("norm_a_inv", "rho_abs_a_inv"):
+            g, w = getattr(got, key), getattr(want, key)
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g == pytest.approx(w, rel=1e-9), (kind, t.n, key)
+        if want.v is not None:
+            assert np.abs(got.v - want.v).max() <= 1e-10
+        kinds.add((kind, got.satisfies_3a, got.satisfies_3b))
+    assert ("3a", True, False) in kinds and ("3b", False, True) in kinds
+
+
+def test_tridiagonal_nonsymmetric_norm_uses_banded_normal_matrix():
+    rng = np.random.default_rng(8)
+    n = 40
+    t = TridiagonalMatrix(-rng.uniform(0.1, 1.0, n - 1), rng.uniform(3.0, 4.0, n), -rng.uniform(0.1, 1.0, n - 1))
+    sigma_min = np.linalg.svd(t.to_dense(), compute_uv=False)[-1]
+    assert diagnostics(t).norm_a_inv == pytest.approx(1.0 / sigma_min, rel=1e-10)

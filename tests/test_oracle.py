@@ -1,5 +1,10 @@
 """Brute-force enumeration against hand enumerations and the solver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -141,3 +146,26 @@ def test_unsolvable_3b_with_positive_v_dot_b():
 def test_exhaustive_bound_recorded():
     sols = enumerate_solutions(gen_example_k(2))
     assert sols.exhaustive_bound == 20
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only consistent singular branches need linprog, so `import avekit`
+    # must not pay for scipy.optimize
+    import avekit
+
+    src = str(Path(avekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, avekit; print('scipy.optimize' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_count_is_derived_from_the_solution_set():
+    for k in (2, 3, 4, 5):
+        p = gen_example_k(k)
+        assert enumerate_solutions(p).count() == count_solutions(p)

@@ -59,6 +59,18 @@ def test_iteration_cap_on_unsolvable_cycling_problem():
     assert rep.residual > 1e-7
 
 
+def test_repeated_sign_pattern_stops_the_run():
+    # tol = 1e-16 is below the rounding floor of the residual, so only the
+    # sign rule can end the run; the pattern repeats within a few steps
+    n = 800
+    rep = gnm_solve(gen_example1(n), SolverConfig(tol=1e-16))
+    assert rep.status is SolveStatus.SIGN_STABILIZED
+    assert rep.iterations <= 4
+    assert rep.sign_history[-1] == rep.sign_history[-2]
+    xstar = np.exp(6.0 * np.arange(n) / (n - 1) - 5.0) - 1.0
+    assert np.abs(rep.x - xstar).max() <= 1e-9
+
+
 def test_max_iter_override():
     p = AveProblem(np.array([[0.1]]), np.array([1.0]))
     rep = gnm_solve(p, SolverConfig(max_iter=1, x0=np.array([1.0])))
