@@ -28,6 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import as_square_matrix
+from .errors import SingularSystem
 from .linalg import (
     TridiagonalMatrix,
     inverse,
@@ -132,9 +133,6 @@ class _Dense:
     def is_irreducible(self, zero_tol: float) -> bool:
         return is_irreducible(self.a, zero_tol)
 
-    def lu_singular(self, rank_tol: float) -> bool:
-        return lu_factor(self.a, rank_tol).singular
-
     def sigma_min(self) -> float:
         return float(scipy.linalg.svdvals(self.a, check_finite=False)[-1])
 
@@ -184,32 +182,25 @@ class _Tridiagonal:
     def is_irreducible(self, zero_tol: float) -> bool:
         return bool(np.all(np.abs(self.t.sub) > zero_tol) and np.all(np.abs(self.t.sup) > zero_tol))
 
-    def lu_singular(self, rank_tol: float) -> bool:
-        if self.n <= 2:
-            # scipy's dgttrf wrapper rejects n <= 2; the dense copy is tiny
-            return lu_factor(self.t.to_dense(), rank_tol).singular
-        # pivots of LAPACK's partially pivoted tridiagonal LU, as in lu_factor
-        u_diag = scipy.linalg.lapack.dgttrf(self.t.sub, self.t.main, self.t.sup)[1]
-        scale = self.scale()
-        return scale == 0.0 or bool(np.any(np.abs(u_diag) < rank_tol * scale))
-
     def sigma_min(self) -> float:
         t = self.t
         if np.array_equal(t.sub, t.sup):
             lam = _lowest_eigenvalue(t.main, t.sub)
             if lam > 0.0:
                 return lam
-        # smallest eigenvalue of the pentadiagonal A^T A, in upper band storage
-        band = np.zeros((3, self.n))
-        band[2] = t.main**2
-        band[2, 1:] += t.sup**2
-        band[2, :-1] += t.sub**2
-        band[1, 1:] = t.main[:-1] * t.sup + t.sub * t.main[1:]
-        band[0, 2:] = t.sub[:-1] * t.sup[1:]
-        lam = scipy.linalg.eigvals_banded(
-            band, select="i", select_range=(0, 0), check_finite=False
+        # The symmetric [[0, A], [A^T, 0]] has eigenvalues +-sigma_i(A), and
+        # interleaving the two halves makes it banded with three
+        # superdiagonals (Golub & Van Loan, sec. 8.6).  Its eigenvalue n, in
+        # ascending order, is sigma_min(A), to the accuracy of a dense SVD;
+        # the normal matrix A^T A would square the condition number.
+        band = np.zeros((4, 2 * self.n))
+        band[2, 1::2] = t.main
+        band[2, 2::2] = t.sub
+        band[0, 3::2] = t.sup
+        sigma = scipy.linalg.eigvals_banded(
+            band, select="i", select_range=(self.n, self.n), check_finite=False
         )[0]
-        return float(np.sqrt(max(lam, 0.0)))
+        return abs(float(sigma))
 
     def lambda_min(self) -> float:
         """Smallest eigenvalue of a Z-matrix, through the symmetric matrix
@@ -218,6 +209,11 @@ class _Tridiagonal:
 
     def dense(self) -> np.ndarray:
         return self.t.to_dense()
+
+
+def _reciprocal(x: float) -> float | None:
+    """1/x, or None when x is not positive: A is singular to working precision."""
+    return 1.0 / x if x > 0.0 else None
 
 
 def _structure(a) -> _Dense | _Tridiagonal:
@@ -323,7 +319,7 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
             "(certificate 3b); this criterion is sufficient, not proven "
             "equivalent, and rejects reducible singular cases"
         )
-    if z and not s3a and not s3b and ai.lu_singular(tols.rank_tol):
+    if z and not s3a and not s3b and lu_factor(ai.dense(), tols.rank_tol).singular:
         notes.append(
             "A - I is a singular Z-matrix but fails the irreducible-kernel probe"
         )
@@ -333,23 +329,29 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
     # A = (A - I) + I is a nonsingular M-matrix whenever A - I is an
     # M-matrix, singular or not, so only the other cases need a test
     if s3a or s3b or _is_m(s, tols):
-        norm_a_inv = 1.0 / s.sigma_min()
-        rho_abs_a_inv = 1.0 / s.lambda_min()
-    elif s.lu_singular(tols.rank_tol):
-        notes.append("A is singular; inverse-based diagnostics unavailable")
+        norm_a_inv = _reciprocal(s.sigma_min())
+        # under (3b), lambda_min(A) = 1 + lambda_min(A - I) = 1
+        rho_abs_a_inv = 1.0 if s3b else _reciprocal(s.lambda_min())
     else:
-        norm_a_inv = 1.0 / s.sigma_min()
         dense = s.dense()
-        inv = inverse(dense, tols.rank_tol)
-        if inv.min() >= 0.0 or inv.max() <= 0.0:
-            # |A^-1| = +-A^-1, whose Perron root is its spectral radius
-            rho_abs_a_inv = 1.0 / float(np.abs(scipy.linalg.eigvals(dense)).min())
+        try:
+            inv = inverse(dense, tols.rank_tol)
+        except SingularSystem:
+            pass
         else:
-            rr = spectral_radius_nonneg(np.abs(inv))
-            rho_abs_a_inv = rr.value
-            if not rr.converged:
-                notes.append(
-                    "spectral-radius power iteration hit its cap; rho(|A^-1|) is an estimate"
-                )
+            norm_a_inv = _reciprocal(s.sigma_min())
+            if inv.min() >= 0.0 or inv.max() <= 0.0:
+                # |A^-1| = +-A^-1, whose Perron root is its spectral radius
+                rho_abs_a_inv = _reciprocal(float(np.abs(scipy.linalg.eigvals(dense)).min()))
+            else:
+                rr = spectral_radius_nonneg(np.abs(inv))
+                rho_abs_a_inv = rr.value
+                if not rr.converged:
+                    notes.append(
+                        "spectral-radius power iteration hit its cap; rho(|A^-1|) is an estimate"
+                    )
+    if norm_a_inv is None:
+        rho_abs_a_inv = None
+        notes.append("A is singular; inverse-based diagnostics unavailable")
 
     return ConditionReport(z, s3a, s3b, v, norm_a_inv, rho_abs_a_inv, tuple(notes))

@@ -156,6 +156,15 @@ def test_classify_unknown_verdict(tmp_path, capsys):
     assert "verdict: Unknown" in out
 
 
+def test_classify_entry_tol_is_announced_as_ignored(ex_files, capsys):
+    _, plain, err = run(capsys, "classify", ex_files[5])
+    assert err == ""
+    code, out, err = run(capsys, "classify", ex_files[5], "--entry-tol", "0.5")
+    assert code == 0
+    assert out == plain
+    assert "--entry-tol is ignored" in err
+
+
 def test_classify_json(ex_files, capsys):
     code, out, _ = run(capsys, "classify", ex_files[4], "--json")
     doc = json.loads(out)
