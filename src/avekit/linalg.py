@@ -90,6 +90,23 @@ def lu_factor(m, rank_tol: float = DEFAULT_RANK_TOL) -> LuFactorization:
     )
 
 
+def singular_flags(stack: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """``lu_factor(m, rank_tol).singular`` for every matrix m of a stack.
+
+    Each matrix goes through the same LAPACK getrf call as in
+    :func:`lu_factor`, so the pivots and flags are bit-identical; the
+    factors are discarded.  The stack must be finite.
+    """
+    getrf = scipy.linalg.lapack.dgetrf
+    # work[k].T is matrix k, column-major, so getrf factors it in place
+    work = np.ascontiguousarray(np.swapaxes(stack, 1, 2), dtype=float)
+    for w in work:
+        getrf(w.T, overwrite_a=True)
+    pivots = np.abs(np.diagonal(work, axis1=1, axis2=2))
+    scale = np.abs(stack).max(axis=(1, 2))
+    return (scale == 0.0) | np.any(pivots < rank_tol * scale[:, None], axis=1)
+
+
 def solve(f: LuFactorization, rhs) -> np.ndarray:
     """Solve the factored system against a vector right-hand side."""
     if f.singular:

@@ -10,7 +10,6 @@ general, and the point here is an independent verifier, not scale.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,11 +17,14 @@ import numpy as np
 
 from .core import AveProblem, residual
 from .errors import DimensionTooLarge
-from .linalg import DEFAULT_RANK_TOL, lu_factor, solve
+from .linalg import DEFAULT_RANK_TOL, singular_flags
 
 MAX_ENUMERATION_N = 20
 DEFAULT_VERIFY_TOL = 1e-8
 DEFAULT_DEDUP_TOL = 1e-10
+# Bytes of step matrices A - diag(s) handled at once; the stacked solve
+# and SVD hold a few copies of a chunk, so memory stays flat in n.
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,10 @@ def enumerate_solutions(
     consistent when the minimal-residual solution family reaches relative
     residual verify_tol * ||b|| and contains a sign-consistent point.
 
+    Patterns run in ``itertools.product((-1, 1), repeat=n)`` order, in
+    chunks of at most CHUNK_BYTES of step matrices, each chunk through
+    stacked LAPACK calls; solutions and branches keep that order.
+
     Raises DimensionTooLarge above n = 20.
     """
     _check_size(p.n)
@@ -120,38 +126,57 @@ def enumerate_solutions(
     b = p.b
     n = p.n
     bnorm = float(np.linalg.norm(b))
+    per_chunk = max(1, CHUNK_BYTES // (8 * n * n))
+    diag = np.arange(n)
 
     isolated: list[np.ndarray] = []
     branches: list[SingularBranch] = []
-    for pattern in itertools.product((-1, 1), repeat=n):
-        s = np.array(pattern, dtype=float)
-        m = a - np.diag(s)
-        f = lu_factor(m, DEFAULT_RANK_TOL)
-        if f.singular:
-            x0, _, _, sv = np.linalg.lstsq(m, b, rcond=None)
-            ls_residual = float(np.linalg.norm(m @ x0 - b))
-            consistent = False
-            if ls_residual <= verify_tol * bnorm:
-                cutoff = DEFAULT_RANK_TOL * (sv[0] if sv.size else 0.0)
-                kernel = _kernel_basis(m, cutoff)
-                consistent = _sign_consistent_affine(x0, kernel, s, dedup_tol)
-            branches.append(SingularBranch(tuple(pattern), consistent))
-            continue
-        x = solve(f, b)
-        if np.any(s * x < -dedup_tol):
-            continue
-        if residual(p, x)[1] > verify_tol:
-            continue
-        if not any(np.max(np.abs(x - y)) <= dedup_tol for y in isolated):
-            isolated.append(x)
+    for start in range(0, 2**n, per_chunk):
+        s = _patterns(n, start, min(start + per_chunk, 2**n))
+        m = np.repeat(a[None], s.shape[0], axis=0)  # the stack A - diag(s)
+        m[:, diag, diag] -= s
+        singular = singular_flags(m, DEFAULT_RANK_TOL)
+        ok = ~singular
+        xs = np.linalg.solve(m[ok], b)
+        for x in xs[~np.any(s[ok] * xs < -dedup_tol, axis=1)]:
+            if residual(p, x)[1] > verify_tol:
+                continue
+            if not any(np.max(np.abs(x - y)) <= dedup_tol for y in isolated):
+                isolated.append(x)
+        branches += _probe_singular(
+            m[singular], b, s[singular], verify_tol * bnorm, dedup_tol
+        )
     return SolutionSet(tuple(isolated), tuple(branches), MAX_ENUMERATION_N)
 
 
-def _kernel_basis(m: np.ndarray, cutoff: float) -> np.ndarray:
-    """Right-kernel basis of m as columns, by SVD with the given cutoff."""
-    _, sv, vt = np.linalg.svd(m)
-    small = sv <= max(cutoff, 0.0)
-    return vt[small].T
+def _patterns(n: int, start: int, stop: int) -> np.ndarray:
+    """Sign patterns start..stop-1 as rows: the bits of k, most significant
+    first, with -1 for a 0 bit (``itertools.product`` order)."""
+    bits = (np.arange(start, stop)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return 2.0 * bits - 1.0
+
+
+def _probe_singular(
+    m: np.ndarray, b: np.ndarray, s: np.ndarray, range_tol: float, tol: float
+) -> list[SingularBranch]:
+    """Branches of the singular stack m, whose patterns are the rows of s,
+    from one stacked SVD: the least-squares x0 (with the cutoff of
+    ``lstsq(rcond=None)``), its residual, and the kernel basis."""
+    u, sv, vt = np.linalg.svd(m)
+    keep = sv > np.finfo(float).eps * m.shape[1] * sv[:, :1]
+    coef = np.where(keep, np.einsum("kji,j->ki", u, b) / np.where(keep, sv, 1.0), 0.0)
+    x0 = np.einsum("kji,kj->ki", vt, coef)
+    ls_residual = np.linalg.norm(np.einsum("kij,kj->ki", m, x0) - b, axis=1)
+    out = []
+    for k, (pattern, in_range) in enumerate(
+        zip(s.astype(int).tolist(), (ls_residual <= range_tol).tolist())
+    ):
+        consistent = False
+        if in_range:
+            kernel = vt[k][sv[k] <= DEFAULT_RANK_TOL * sv[k, 0]].T
+            consistent = _sign_consistent_affine(x0[k], kernel, s[k], tol)
+        out.append(SingularBranch(tuple(pattern), consistent))
+    return out
 
 
 def count_solutions(

@@ -41,6 +41,9 @@ from .linalg import TridiagonalMatrix, spectral_radius_nonneg
 FILE_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -50,10 +53,10 @@ class SplitMix64:
         self._state = int(seed) & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
@@ -61,7 +64,18 @@ class SplitMix64:
         return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0**-53)
 
     def uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(count)])
+        """The next ``count`` values of :meth:`uniform`, bit for bit.
+
+        The k-th state is seed + k * gamma mod 2^64, so the whole batch is
+        one pass of wrapping uint64 arithmetic.
+        """
+        k = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + k * np.uint64(_GAMMA)
+        self._state = (self._state + count * _GAMMA) & _MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return lo + (hi - lo) * ((z >> np.uint64(11)).astype(float) * 2.0**-53)
 
 
 def gen_example1(n: int) -> AveProblem:
@@ -128,10 +142,7 @@ def gen_random_3b(n: int, seed: int) -> AveProblem:
     rng = SplitMix64(seed)
     v = rng.uniforms(n, 0.5, 1.5)
     ai = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                ai[i, j] = -rng.uniform(0.1, 1.1)
+    ai[~np.eye(n, dtype=bool)] = -rng.uniforms(n * (n - 1), 0.1, 1.1)
     for j in range(n):
         ai[j, j] = -(v @ ai[:, j]) / v[j]
     a = np.eye(n) + ai
@@ -265,18 +276,6 @@ class _TokenReader:
     def at_eof(self) -> bool:
         return not self._advance()
 
-    def next_float(self, what: str) -> float:
-        tok = self.next_token(what)
-        try:
-            value = float(tok)
-        except ValueError:
-            raise ParseError(
-                f"line {self.lineno}: expected a number for {what}, got {tok!r}"
-            ) from None
-        if not np.isfinite(value):
-            raise SchemaError(f"line {self.lineno}: non-finite value in {what}")
-        return value
-
     def next_int(self, what: str) -> int:
         tok = self.next_token(what)
         try:
@@ -294,7 +293,35 @@ class _TokenReader:
             )
 
     def floats(self, count: int, what: str) -> np.ndarray:
-        return np.array([self.next_float(what) for _ in range(count)])
+        """The next ``count`` tokens as finite floats, converted a line at
+        a time; an error names the line of the first bad token."""
+        out = np.empty(count)
+        got = 0
+        while got < count:
+            if not self._advance():
+                raise ParseError(f"unexpected end of file while reading {what}")
+            take = self.tokens[: count - got]
+            self.tokens = self.tokens[len(take) :]
+            row = out[got : got + len(take)]
+            try:
+                row[:] = [float(tok) for tok in take]
+            except ValueError:
+                self._raise_first_bad(take, what)
+            if not np.isfinite(row).all():
+                self._raise_first_bad(take, what)
+            got += len(take)
+        return out
+
+    def _raise_first_bad(self, tokens: list[str], what: str) -> None:
+        for tok in tokens:
+            try:
+                value = float(tok)
+            except ValueError:
+                raise ParseError(
+                    f"line {self.lineno}: expected a number for {what}, got {tok!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise SchemaError(f"line {self.lineno}: non-finite value in {what}")
 
 
 def load(source) -> ProblemFile:

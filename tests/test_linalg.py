@@ -13,6 +13,7 @@ from avekit.linalg import (
     lu_factor,
     lu_nopivot,
     null_space_left,
+    singular_flags,
     solve,
     spectral_norm,
     spectral_radius_nonneg,
@@ -71,6 +72,23 @@ def test_lu_permutation_reconstructs_input():
 
 
 # --------------------------------------------------------------- lu_nopivot
+
+
+def test_singular_flags_match_lu_factor_on_a_stack():
+    rng = np.random.default_rng(17)
+    n = 5
+    mats = [rng.normal(size=(n, n)) for _ in range(6)]
+    mats.append(np.zeros((n, n)))
+    mats.append(np.outer(rng.normal(size=n), rng.normal(size=n)))  # rank one
+    # a last pivot on either side of rank_tol * max|entry|
+    for f in (0.5, 0.99, 1.01, 2.0):
+        mats.append(np.diag([1e3, 1e3, 1e3, 1e3, f * 1e-7]))
+    stack = np.array(mats)
+    expect = [lu_factor(m).singular for m in mats]
+    assert singular_flags(stack).tolist() == expect
+    assert expect[-4:] == [True, True, False, False]
+    # the input stack is left as it was
+    assert np.array_equal(stack, np.array(mats))
 
 
 def test_lu_nopivot_reconstructs_across_blocks():

@@ -1,23 +1,29 @@
 """Brute-force enumeration against hand enumerations and the solver."""
 
+import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from avekit import oracle
 from avekit.core import AveProblem, residual
 from avekit.errors import DimensionTooLarge
+from avekit.linalg import DEFAULT_RANK_TOL, lu_factor
+from avekit.linalg import solve as lu_solve
 from avekit.mclass import diagnostics
 from avekit.oracle import (
     SolutionCountKind,
+    _sign_consistent_affine,
     count_solutions,
     enumerate_solutions,
 )
-from avekit.problems import gen_example_k, gen_random_3a, gen_random_3b
+from avekit.problems import gen_example1, gen_example_k, gen_random_3a, gen_random_3b
 from avekit.solver import SolverConfig, gnm_solve, guard_d0
 
 
@@ -169,3 +175,120 @@ def test_count_is_derived_from_the_solution_set():
     for k in (2, 3, 4, 5):
         p = gen_example_k(k)
         assert enumerate_solutions(p).count() == count_solutions(p)
+
+
+# ------------------------------------------- batched enumeration parity
+
+
+def _reference_enumeration(p, verify_tol=1e-8, dedup_tol=1e-10):
+    """The one-pattern-at-a-time loop the batched enumeration replaced."""
+    a, b = p.dense_a(), p.b
+    bnorm = float(np.linalg.norm(b))
+    isolated, branches = [], []
+    for pattern in itertools.product((-1, 1), repeat=p.n):
+        s = np.array(pattern, dtype=float)
+        m = a - np.diag(s)
+        f = lu_factor(m, DEFAULT_RANK_TOL)
+        if f.singular:
+            x0, _, _, sv = np.linalg.lstsq(m, b, rcond=None)
+            consistent = False
+            if np.linalg.norm(m @ x0 - b) <= verify_tol * bnorm:
+                _, sv2, vt = np.linalg.svd(m)
+                kernel = vt[sv2 <= DEFAULT_RANK_TOL * sv[0]].T
+                consistent = _sign_consistent_affine(x0, kernel, s, dedup_tol)
+            branches.append((pattern, consistent))
+            continue
+        x = lu_solve(f, b)
+        if np.any(s * x < -dedup_tol) or residual(p, x)[1] > verify_tol:
+            continue
+        if not any(np.max(np.abs(x - y)) <= dedup_tol for y in isolated):
+            isolated.append(x)
+    return isolated, branches
+
+
+def _laplacian_continuum(n, seed):
+    # A = I + L for a weighted path graph plus chords; b orthogonal to ones
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n, n))
+    w[np.arange(n - 1), np.arange(1, n)] = rng.uniform(0.1, 1.1, n - 1)
+    for _ in range(n):
+        i, j = rng.choice(n, 2, replace=False)
+        w[i, j] = rng.uniform(0.1, 1.1)
+    w = w + w.T
+    b = rng.uniform(-10.0, 10.0, n)
+    return AveProblem(np.eye(n) + np.diag(w.sum(axis=1)) - w, b - b.mean())
+
+
+def _singular_heavy(n, seed):
+    # A = I + U, U strictly upper triangular: every pattern but s = -1 is
+    # singular, and x* < 0 is the only solution
+    rng = np.random.default_rng(seed)
+    a = np.eye(n) + np.triu(-rng.uniform(0.1, 1.1, (n, n)), 1)
+    xstar = -rng.uniform(0.5, 2.0, n)
+    return AveProblem(a, a @ xstar + xstar)
+
+
+def _parity_cases():
+    cases = []
+    for n in range(2, 13):
+        cases.append(pytest.param(gen_random_3a(n, 100 + n), id=f"rand3a-{n}"))
+        p = gen_random_3b(n, 200 + n)
+        cases.append(pytest.param(p, id=f"rand3b-{n}"))
+        if n <= 8:
+            cases.append(pytest.param(AveProblem(p.a, -p.b), id=f"rand3b-neg-{n}"))
+    for k in (2, 3, 4, 5):
+        cases.append(pytest.param(gen_example_k(k), id=f"ex{k}"))
+    cases.append(pytest.param(gen_example1(12), id="ex1-12"))
+    cases.append(pytest.param(_laplacian_continuum(10, 3), id="continuum-10"))
+    cases.append(pytest.param(_singular_heavy(10, 4), id="singular-heavy-10"))
+    # A - I = diag(1, 1e-12) is flagged singular, yet b is in its range at
+    # the least-squares cutoff, so the branch is consistent
+    cases.append(
+        pytest.param(AveProblem(np.diag([2.0, 1.0 + 1e-12]), np.ones(2)), id="near-singular-2")
+    )
+    return cases
+
+
+def _assert_same_solution_set(got, p):
+    isolated, branches = _reference_enumeration(p)
+    assert [(br.pattern, br.consistent) for br in got.singular_branches] == branches
+    assert len(got.isolated) == len(isolated)
+    for x, y in zip(got.isolated, isolated):
+        assert np.max(np.abs(x - y)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", _parity_cases())
+def test_batched_enumeration_matches_the_pattern_loop(p):
+    _assert_same_solution_set(enumerate_solutions(p), p)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 7, 64])
+def test_chunk_joins_keep_order_and_dedup(monkeypatch, per_chunk):
+    # chunk sizes that do and do not divide 2^n; x = 0 solves the last
+    # problem under every pattern, so dedup spans every join
+    n = 6
+    monkeypatch.setattr(oracle, "CHUNK_BYTES", per_chunk * 8 * n * n)
+    problems = [
+        gen_random_3b(n, 5),
+        _laplacian_continuum(n, 6),
+        _singular_heavy(n, 7),
+        AveProblem(gen_random_3a(n, 8).a * 3.0, np.zeros(n)),
+    ]
+    for p in problems:
+        _assert_same_solution_set(enumerate_solutions(p), p)
+
+
+def test_enumeration_memory_is_bounded_by_the_chunk():
+    # the full stack of step matrices at n = 16 is 2^16 * 16^2 doubles
+    # (134 MB); the enumeration must hold only a few chunks of it
+    n = 16
+    p = gen_random_3a(n, 9)
+    tracemalloc.start()
+    try:
+        sols = enumerate_solutions(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sols.isolated) == 1
+    assert peak <= 8 * oracle.CHUNK_BYTES
+    assert peak * 50 < 2**n * n * n * 8

@@ -1,5 +1,6 @@
 """Generators, the max-form converter, and .ave file round-trips."""
 
+import hashlib
 import io
 import math
 
@@ -35,6 +36,50 @@ def test_splitmix64_reference_outputs():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
+
+
+def _reference_u64(seed: int, count: int) -> list[int]:
+    # the scalar splitmix64 recurrence, one state step per draw
+    mask = (1 << 64) - 1
+    state, out = seed & mask, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456789, (1 << 64) - 5, (1 << 64) + 3])
+def test_splitmix64_uniforms_match_the_scalar_recurrence(seed):
+    # seeds near and past 2^64 make the state wrap inside the batch
+    ref = _reference_u64(seed, 1000)
+    lo, hi = -10.0, 10.0
+    expect = [lo + (hi - lo) * ((u >> 11) * 2.0**-53) for u in ref]
+    g = SplitMix64(seed)
+    got = np.concatenate([g.uniforms(3, lo, hi), g.uniforms(0, lo, hi), g.uniforms(996, lo, hi)])
+    assert got.tolist() == expect[:999]
+    # the batch advanced the state by exactly its count
+    assert g.uniform(lo, hi) == expect[999]
+    assert SplitMix64(seed).uniforms(5).tolist() == [(u >> 11) * 2.0**-53 for u in ref[:5]]
+
+
+@pytest.mark.parametrize(
+    "family,digest",
+    [
+        ("rand3a", "9785aeabca48dcdf3fbcbd2c6a10f3c12f0a95d3779da74d7dc2427ec76d10ae"),
+        ("rand3b", "91dbc5d3a553e4a8f3fc12b50f017a2b2625f1341f3f879ffff74513468d1ab6"),
+    ],
+)
+def test_generated_files_are_pinned(tmp_path, family, digest):
+    # `avekit generate --family <family> --n 50 --seed 7`, byte for byte as
+    # written by the scalar generator
+    from avekit.cli import main
+
+    path = tmp_path / "p.ave"
+    assert main(["generate", "--family", family, "--n", "50", "--seed", "7", "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_splitmix64_uniform_range():
@@ -251,6 +296,41 @@ def test_bad_token_is_parse_error():
     text = "version 1\nconvention minus\nstructure dense\nn 2\nA\n1 2\n3 oops\nb\n1 1\n"
     with pytest.raises(ParseError):
         load(io.StringIO(text))
+
+
+_DENSE2 = "version 1\nconvention minus\nstructure dense\nn 2\n"
+
+
+@pytest.mark.parametrize(
+    "text,error,message",
+    [
+        (_DENSE2 + "A\n1 2\n", ParseError, "unexpected end of file while reading matrix entries"),
+        (
+            _DENSE2 + "A\n1 2\n3 oops\nb\n1 1\n",
+            ParseError,
+            "line 7: expected a number for matrix entries, got 'oops'",
+        ),
+        # a bad token is reported ahead of the truncation after it
+        (_DENSE2 + "A\n1 oops\n", ParseError, "line 6: expected a number for matrix entries, got 'oops'"),
+        (_DENSE2 + "A\n1 inf 3 x\n", SchemaError, "line 6: non-finite value in matrix entries"),
+        (
+            _DENSE2 + "A\n1 2 # c\n\n3 4\nb\n1 nan\n",
+            SchemaError,
+            "line 10: non-finite value in right-hand side entries",
+        ),
+        (
+            "version 1\nconvention minus\nstructure tridiagonal\nn 3\nA.sub\n1 2\n"
+            "A.main 1 2 3 A.super 1\n1e999\nb\n1 1 1\n",
+            SchemaError,
+            "line 8: non-finite value in super-diagonal entries",
+        ),
+    ],
+)
+def test_load_error_messages(text, error, message):
+    with pytest.raises(error) as info:
+        load(io.StringIO(text))
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_schema_violations():
