@@ -11,7 +11,6 @@ from .classify import (
 from .core import (
     AveProblem,
     SignDiagonal,
-    abs_matrix,
     residual,
     sign_diagonal,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "TridiagonalMatrix",
     "Verdict",
     "VerdictBasis",
-    "abs_matrix",
     "check_condition_3a",
     "check_condition_3b",
     "classify",

@@ -174,8 +174,6 @@ def cmd_solve(args) -> int:
 def cmd_classify(args) -> int:
     pf, digest = _load_file(args.file)
     p = pf.to_problem()
-    if args.entry_tol is not None:
-        print("avekit: --entry-tol is ignored; the M-matrix test uses pivots", file=sys.stderr)
     tols = Tolerances(zero_tol=args.zero_tol, rank_tol=args.rank_tol)
     verdict = classify(p, tols)
     rep = verdict.report
@@ -468,9 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("file")
     p_cls.add_argument("--zero-tol", type=float, default=Tolerances().zero_tol)
     p_cls.add_argument("--rank-tol", type=float, default=Tolerances().rank_tol)
-    p_cls.add_argument(
-        "--entry-tol", type=float, help="ignored: no verdict reads it since the M-matrix test uses pivots"
-    )
     p_cls.add_argument("--json", action="store_true")
     p_cls.set_defaults(func=cmd_classify)
 

@@ -39,7 +39,8 @@ def as_square_matrix(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SignDiagonal:
-    """The diagonal matrix diag(sign(x)) with entries in {-1, 0, 1}."""
+    """The diagonal matrix diag(sign(x)) with entries in {-1, 0, 1},
+    stored as one int8 per entry."""
 
     diag: np.ndarray
 
@@ -47,9 +48,9 @@ class SignDiagonal:
         d = np.asarray(self.diag)
         if d.ndim != 1 or d.shape[0] == 0:
             raise ValueError(f"expected a nonempty diagonal, got shape {d.shape}")
-        d = d.astype(np.int64)
         if not np.isin(d, (-1, 0, 1)).all():
             raise ValueError("sign-diagonal entries must be -1, 0, or 1")
+        d = d.astype(np.int8)
         d.setflags(write=False)
         object.__setattr__(self, "diag", d)
 
@@ -76,7 +77,7 @@ class SignDiagonal:
 def sign_diagonal(x) -> SignDiagonal:
     """Build diag(sign(x)); sign(0) is exactly 0, with no epsilon band."""
     v = as_vector(x)
-    return SignDiagonal(np.sign(v).astype(np.int64))
+    return SignDiagonal(np.sign(v).astype(np.int8))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +126,3 @@ def residual(p: AveProblem, x) -> tuple[np.ndarray, float]:
         raise ValueError(f"x has shape {v.shape}, expected ({p.n},)")
     r = p.matvec(v) - np.abs(v) - p.b
     return r, float(np.linalg.norm(r))
-
-
-def abs_matrix(m) -> np.ndarray:
-    """Entrywise absolute value."""
-    return np.abs(np.asarray(m, dtype=float))

@@ -45,26 +45,20 @@ class LuFactorization:
     """Partial-pivoting LU factorization of a square matrix.
 
     ``packed`` holds U on and above the diagonal and the unit-lower
-    multipliers strictly below it (LAPACK getrf layout).  ``perm`` is the
-    row permutation as an index vector: ``a[perm] == lower @ upper`` up to
-    rounding whenever ``singular`` is False.  ``singular`` is set when any
-    pivot magnitude falls below ``rank_tol`` times the largest entry
-    magnitude of the input.
+    multipliers strictly below it (LAPACK getrf layout), with the row
+    interchanges in ``ipiv``.  ``singular`` is set when any pivot magnitude
+    falls below ``rank_tol`` times the largest entry magnitude of the
+    input.
     """
 
     packed: np.ndarray
     ipiv: np.ndarray
-    perm: np.ndarray
     singular: bool
     rank_tol: float
 
     @property
     def n(self) -> int:
         return self.packed.shape[0]
-
-    @property
-    def lower(self) -> np.ndarray:
-        return np.tril(self.packed, -1) + np.eye(self.n)
 
     @property
     def upper(self) -> np.ndarray:
@@ -74,7 +68,6 @@ class LuFactorization:
 def lu_factor(m, rank_tol: float = DEFAULT_RANK_TOL) -> LuFactorization:
     """Factor a square matrix, flagging singularity instead of raising."""
     a = _square(m)
-    n = a.shape[0]
     scale = float(np.abs(a).max())
     with warnings.catch_warnings():
         # exact singularity is an expected, flagged outcome here
@@ -82,12 +75,7 @@ def lu_factor(m, rank_tol: float = DEFAULT_RANK_TOL) -> LuFactorization:
         packed, ipiv = scipy.linalg.lu_factor(a, check_finite=False)
     pivots = np.abs(np.diag(packed))
     singular = scale == 0.0 or bool(np.any(pivots < rank_tol * scale))
-    perm = np.arange(n)
-    for i, p in enumerate(ipiv):
-        perm[i], perm[p] = perm[p], perm[i]
-    return LuFactorization(
-        _freeze(packed), _freeze(np.asarray(ipiv)), _freeze(perm), singular, rank_tol
-    )
+    return LuFactorization(_freeze(packed), _freeze(np.asarray(ipiv)), singular, rank_tol)
 
 
 def singular_flags(stack: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -168,9 +156,9 @@ class TridiagonalMatrix:
         main = np.asarray(self.main, dtype=float)
         sub = np.asarray(self.sub, dtype=float)
         sup = np.asarray(self.sup, dtype=float)
-        n = main.shape[0]
-        if main.ndim != 1 or n == 0:
+        if main.ndim != 1 or main.shape[0] == 0:
             raise ValueError("main diagonal must be a nonempty vector")
+        n = main.shape[0]
         if sub.shape != (n - 1,) or sup.shape != (n - 1,):
             raise ValueError(
                 f"off-diagonals must have length {n - 1}, got {sub.shape} and {sup.shape}"

@@ -49,13 +49,11 @@ class Tolerances:
 
     zero_tol bounds what counts as a nonpositive off-diagonal entry and
     rank_tol is the relative pivot threshold for singularity, kernel rank
-    and the M-matrix pivot test.  entry_tol, the relative slack of the
-    former inverse-nonnegativity test, no longer decides any verdict.
+    and the M-matrix pivot test.
     """
 
     zero_tol: float = 1e-12
     rank_tol: float = 1e-10
-    entry_tol: float = 1e-9
 
 
 DEFAULT_TOLS = Tolerances()

@@ -101,16 +101,12 @@ def _sign_consistent_affine(
     return res.status == 0
 
 
-def enumerate_solutions(
-    p: AveProblem,
-    verify_tol: float = DEFAULT_VERIFY_TOL,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-) -> SolutionSet:
+def enumerate_solutions(p: AveProblem, verify_tol: float = DEFAULT_VERIFY_TOL) -> SolutionSet:
     """Solve (A - diag(s)) x = b for every s in {-1, +1}^n.
 
     A candidate is accepted when it is sign-consistent with its pattern
-    (s_i * x_i >= -dedup_tol) and independently re-verified through the
-    residual, then deduplicated in max-norm.  Patterns with a singular
+    (s_i * x_i >= -DEFAULT_DEDUP_TOL) and independently re-verified through
+    the residual, then deduplicated in max-norm.  Patterns with a singular
     step matrix get a least-squares consistency probe: the branch is
     consistent when the minimal-residual solution family reaches relative
     residual verify_tol * ||b|| and contains a sign-consistent point.
@@ -138,14 +134,12 @@ def enumerate_solutions(
         singular = singular_flags(m, DEFAULT_RANK_TOL)
         ok = ~singular
         xs = np.linalg.solve(m[ok], b)
-        for x in xs[~np.any(s[ok] * xs < -dedup_tol, axis=1)]:
+        for x in xs[~np.any(s[ok] * xs < -DEFAULT_DEDUP_TOL, axis=1)]:
             if residual(p, x)[1] > verify_tol:
                 continue
-            if not any(np.max(np.abs(x - y)) <= dedup_tol for y in isolated):
+            if not any(np.max(np.abs(x - y)) <= DEFAULT_DEDUP_TOL for y in isolated):
                 isolated.append(x)
-        branches += _probe_singular(
-            m[singular], b, s[singular], verify_tol * bnorm, dedup_tol
-        )
+        branches += _probe_singular(m[singular], b, s[singular], verify_tol * bnorm)
     return SolutionSet(tuple(isolated), tuple(branches), MAX_ENUMERATION_N)
 
 
@@ -157,7 +151,7 @@ def _patterns(n: int, start: int, stop: int) -> np.ndarray:
 
 
 def _probe_singular(
-    m: np.ndarray, b: np.ndarray, s: np.ndarray, range_tol: float, tol: float
+    m: np.ndarray, b: np.ndarray, s: np.ndarray, range_tol: float
 ) -> list[SingularBranch]:
     """Branches of the singular stack m, whose patterns are the rows of s,
     from one stacked SVD: the least-squares x0 (with the cutoff of
@@ -174,15 +168,11 @@ def _probe_singular(
         consistent = False
         if in_range:
             kernel = vt[k][sv[k] <= DEFAULT_RANK_TOL * sv[k, 0]].T
-            consistent = _sign_consistent_affine(x0[k], kernel, s[k], tol)
+            consistent = _sign_consistent_affine(x0[k], kernel, s[k], DEFAULT_DEDUP_TOL)
         out.append(SingularBranch(tuple(pattern), consistent))
     return out
 
 
-def count_solutions(
-    p: AveProblem,
-    verify_tol: float = DEFAULT_VERIFY_TOL,
-    dedup_tol: float = DEFAULT_DEDUP_TOL,
-) -> SolutionCount:
+def count_solutions(p: AveProblem, verify_tol: float = DEFAULT_VERIFY_TOL) -> SolutionCount:
     """Summarize the enumeration with :meth:`SolutionSet.count`."""
-    return enumerate_solutions(p, verify_tol, dedup_tol).count()
+    return enumerate_solutions(p, verify_tol).count()

@@ -294,23 +294,24 @@ class _TokenReader:
 
     def floats(self, count: int, what: str) -> np.ndarray:
         """The next ``count`` tokens as finite floats, converted a line at
-        a time; an error names the line of the first bad token."""
-        out = np.empty(count)
+        a time; an error names the line of the first bad token.  Memory
+        follows the tokens read, not ``count``, which comes from the file."""
+        rows = []
         got = 0
         while got < count:
             if not self._advance():
                 raise ParseError(f"unexpected end of file while reading {what}")
             take = self.tokens[: count - got]
             self.tokens = self.tokens[len(take) :]
-            row = out[got : got + len(take)]
             try:
-                row[:] = [float(tok) for tok in take]
+                row = np.array([float(tok) for tok in take])
             except ValueError:
                 self._raise_first_bad(take, what)
             if not np.isfinite(row).all():
                 self._raise_first_bad(take, what)
+            rows.append(row)
             got += len(take)
-        return out
+        return np.concatenate(rows)
 
     def _raise_first_bad(self, tokens: list[str], what: str) -> None:
         for tok in tokens:

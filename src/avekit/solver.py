@@ -1,5 +1,6 @@
-"""Generalized Newton iteration x^{k+1} = [A - D(x^k)]^{-1} b with a full
-trace, simultaneous stopping rules, and the finite-termination iteration cap.
+"""Generalized Newton iteration x^{k+1} = [A - D(x^k)]^{-1} b with a
+residual and sign trace, simultaneous stopping rules, and the
+finite-termination iteration cap.
 """
 
 from __future__ import annotations
@@ -30,16 +31,12 @@ class SolverConfig:
 
     ``max_iter`` of None resolves to 2n + 2 at solve time, the finite
     termination bound under either certificate; ``x0`` of None resolves to
-    the all-ones vector.  ``enforce_d0_not_identity`` lets
-    :func:`guard_d0` flip the first component of an all-positive start
-    under a (3b) certificate, where D(x0) = I would make the first step
-    matrix singular.
+    the all-ones vector.
     """
 
     tol: float = 1e-7
     max_iter: int | None = None
     x0: np.ndarray | None = None
-    enforce_d0_not_identity: bool = True
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -53,10 +50,11 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Full trace of one generalized Newton run.
+    """Trace of one generalized Newton run: the residual and sign pattern
+    of every iterate, and the final iterate ``x``.
 
     The histories include the starting point, so each has length
-    ``iterations + 1``, and ``x`` equals ``iterate_history[-1]``.
+    ``iterations + 1``; the trace costs n bytes a step.
     ``monotone_from_k1`` records whether x^{k+1} >= x^k held componentwise
     (with slack) for every observed k >= 1.
     """
@@ -64,7 +62,6 @@ class SolveReport:
     status: SolveStatus
     iterations: int
     x: np.ndarray
-    iterate_history: tuple[np.ndarray, ...]
     residual_history: tuple[float, ...]
     sign_history: tuple[SignDiagonal, ...]
     monotone_from_k1: bool
@@ -106,7 +103,6 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
 
     d = sign_diagonal(x)
     res = residual(p, x)[1]
-    iterates = [x.copy()]
     res_hist = [res]
     sign_hist = [d]
     monotone = True
@@ -114,7 +110,7 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
 
     if res <= cfg.tol:
         return SolveReport(
-            SolveStatus.CONVERGED, 0, x, (x.copy(),), (res,), (d,), True, cfg.notes
+            SolveStatus.CONVERGED, 0, x, (res,), (d,), True, cfg.notes
         )
 
     status = None
@@ -130,7 +126,6 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
         k += 1
         d_new = sign_diagonal(x_new)
         res = residual(p, x_new)[1]
-        iterates.append(x_new.copy())
         res_hist.append(res)
         sign_hist.append(d_new)
         if k >= 2 and np.any(x_new < x - MONOTONE_SLACK):
@@ -149,7 +144,6 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
         status,
         k,
         x,
-        tuple(iterates),
         tuple(res_hist),
         tuple(sign_hist),
         monotone,
@@ -170,7 +164,7 @@ def guard_d0(p: AveProblem, cfg: SolverConfig, report3b) -> SolverConfig:
     x0 = cfg.x0 if cfg.x0 is not None else np.ones(p.n)
     x0 = np.asarray(x0, dtype=float)
     notes = list(cfg.notes)
-    if cfg.enforce_d0_not_identity and sign_diagonal(x0).is_identity:
+    if sign_diagonal(x0).is_identity:
         x0 = x0.copy()
         x0[0] = -x0[0]
         notes.append("x0 had D(x0) = I; negated its first component")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from avekit.core import AveProblem, abs_matrix, residual, sign_diagonal
+from avekit.core import AveProblem, SignDiagonal, residual, sign_diagonal
 from avekit.problems import gen_example_k
 
 
@@ -73,10 +73,14 @@ def test_residual_is_locally_lipschitz():
         assert abs(r1 - r0) <= bound * np.linalg.norm(delta) + 1e-15
 
 
-def test_abs_matrix():
-    assert_allclose(abs_matrix([[1.5, -3.0], [0.0, 1.5]]), [[1.5, 3.0], [0.0, 1.5]])
-    assert_allclose(abs_matrix(np.zeros((2, 2))), np.zeros((2, 2)))
-    assert_allclose(abs_matrix([[-1.0]]), [[1.0]])
+def test_sign_diagonal_rejects_entries_before_casting():
+    with pytest.raises(ValueError, match="-1, 0, or 1"):
+        SignDiagonal(np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="-1, 0, or 1"):
+        SignDiagonal(np.array([300, 1]))  # would wrap to 44 in int8
+    d = SignDiagonal(np.array([-1.0, 0.0, 1.0]))
+    assert d.diag.dtype == np.int8
+    assert d.diag.tolist() == [-1, 0, 1]
 
 
 def test_problem_validation():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from avekit.cli import main
 from avekit.core import AveProblem, residual
 from avekit.errors import ParseError, SchemaError
 from avekit.mclass import check_condition_3a, check_condition_3b, diagnostics
@@ -331,6 +332,37 @@ def test_load_error_messages(text, error, message):
         load(io.StringIO(text))
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# Headers that declare far more numbers than the file holds; reading must
+# not reserve room for n before the numbers are there.
+_HUGE_HEADERS = [
+    (
+        "version 1\nconvention minus\nstructure dense\nn 1000000\nA\n1 2\n",
+        "unexpected end of file while reading matrix entries",
+    ),
+    (
+        "version 1\nconvention minus\nstructure tridiagonal\nn 100000000000\nA.sub\n1 2\n",
+        "unexpected end of file while reading sub-diagonal entries",
+    ),
+    (
+        "version 1\nconvention minus\nstructure dense\nn 1000000\nA\n1 x\n",
+        "line 6: expected a number for matrix entries, got 'x'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text,message", _HUGE_HEADERS, ids=["dense-truncated", "tridiagonal-truncated", "dense-bad-token"]
+)
+def test_huge_declared_n_is_a_parse_error(tmp_path, capsys, text, message):
+    with pytest.raises(ParseError) as info:
+        load(io.StringIO(text))
+    assert str(info.value) == message
+    path = tmp_path / "huge.ave"
+    path.write_text(text)
+    assert main(["classify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_schema_violations():
