@@ -2,10 +2,16 @@
 
 Dense factorizations are delegated to LAPACK through scipy; elimination
 without pivoting (dense, blocked, and the O(n) tridiagonal recurrence),
-the Thomas sweep, power iterations, kernel extraction, and the
-irreducibility check are written out here because their exact behavior
-(tolerances, flags, stopping points, deterministic starting vectors) is
-part of the library contract.
+the O(n) tridiagonal LU with partial pivoting, power iterations, kernel
+extraction, and the irreducibility check are written out here because
+their exact behavior (tolerances, flags, stopping points, deterministic
+starting vectors) is part of the library contract.
+
+One rule decides singularity for every partial-pivoting LU, dense
+(:func:`lu_factor`, :func:`singular_flags`) or tridiagonal
+(:func:`tridiag_factor`): a matrix is singular when it is zero or when a
+pivot magnitude falls below ``rank_tol`` times its largest entry
+magnitude.
 """
 
 from __future__ import annotations
@@ -46,9 +52,8 @@ class LuFactorization:
 
     ``packed`` holds U on and above the diagonal and the unit-lower
     multipliers strictly below it (LAPACK getrf layout), with the row
-    interchanges in ``ipiv``.  ``singular`` is set when any pivot magnitude
-    falls below ``rank_tol`` times the largest entry magnitude of the
-    input.
+    interchanges in ``ipiv``.  ``singular`` follows the singularity rule of
+    this module.
     """
 
     packed: np.ndarray
@@ -65,16 +70,26 @@ class LuFactorization:
         return np.triu(self.packed)
 
 
+def _singular(pivots: np.ndarray, scale, rank_tol: float):
+    """The singularity rule: a zero matrix, or a pivot magnitude below
+    ``rank_tol`` times the largest entry magnitude.
+
+    ``pivots`` holds pivot magnitudes along its last axis and ``scale`` the
+    largest entry magnitude of each matrix, so one call decides one matrix
+    or a stack.
+    """
+    scale = np.asarray(scale)
+    return (scale == 0.0) | np.any(pivots < rank_tol * scale[..., None], axis=-1)
+
+
 def lu_factor(m, rank_tol: float = DEFAULT_RANK_TOL) -> LuFactorization:
     """Factor a square matrix, flagging singularity instead of raising."""
     a = _square(m)
-    scale = float(np.abs(a).max())
     with warnings.catch_warnings():
         # exact singularity is an expected, flagged outcome here
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         packed, ipiv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(packed))
-    singular = scale == 0.0 or bool(np.any(pivots < rank_tol * scale))
+    singular = bool(_singular(np.abs(np.diag(packed)), np.abs(a).max(), rank_tol))
     return LuFactorization(_freeze(packed), _freeze(np.asarray(ipiv)), singular, rank_tol)
 
 
@@ -91,8 +106,7 @@ def singular_flags(stack: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.
     for w in work:
         getrf(w.T, overwrite_a=True)
     pivots = np.abs(np.diagonal(work, axis1=1, axis2=2))
-    scale = np.abs(stack).max(axis=(1, 2))
-    return (scale == 0.0) | np.any(pivots < rank_tol * scale[:, None], axis=1)
+    return _singular(pivots, np.abs(stack).max(axis=(1, 2)), rank_tol)
 
 
 def solve(f: LuFactorization, rhs) -> np.ndarray:
@@ -212,30 +226,76 @@ def tridiag_pivots(t: TridiagonalMatrix, floor: float) -> np.ndarray:
     return np.array(pivots)
 
 
-def tridiag_solve(t: TridiagonalMatrix, rhs) -> np.ndarray:
-    """Thomas-algorithm solve in O(n); raises SingularSystem on a zero pivot."""
+@dataclass(frozen=True)
+class TridiagonalLu:
+    """LU factorization with partial pivoting of a tridiagonal matrix, in
+    the layout of LAPACK gttrf.
+
+    Step i eliminates the subdiagonal entry of column i with row i or row
+    i + 1 as pivot row, whichever has the larger entry in that column (row
+    i on a tie), which are the row choices of getrf on the dense matrix.
+    ``swapped[i]`` records the interchange and ``multipliers[i]`` the
+    multiplier of step i.  U has the diagonal ``pivots`` and two
+    superdiagonals, ``sup`` and the fill ``sup2``, each padded with zeros to
+    length n.  ``singular`` follows the singularity rule of this module.
+    """
+
+    multipliers: list[float]
+    swapped: list[bool]
+    pivots: list[float]
+    sup: list[float]
+    sup2: list[float]
+    singular: bool
+
+
+def tridiag_factor(t: TridiagonalMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> TridiagonalLu:
+    """Partial-pivoting LU of a tridiagonal matrix in O(n) time and memory,
+    flagging singularity instead of raising."""
+    n = t.n
+    multipliers = [0.0] * (n - 1)
+    swapped = [False] * (n - 1)
+    pivots = t.main.tolist()
+    sup = t.sup.tolist() + [0.0]
+    sup2 = [0.0] * n
+    for i, low in enumerate(t.sub.tolist()):
+        p = pivots[i]
+        if abs(p) >= abs(low):
+            if p != 0.0:
+                f = low / p
+                multipliers[i] = f
+                pivots[i + 1] -= f * sup[i]
+        else:
+            f = p / low
+            multipliers[i] = f
+            pivots[i] = low
+            sup[i], pivots[i + 1] = pivots[i + 1], sup[i] - f * pivots[i + 1]
+            sup2[i] = sup[i + 1]
+            sup[i + 1] = -f * sup[i + 1]
+            swapped[i] = True
+    scale = np.abs(np.concatenate((t.sub, t.main, t.sup))).max()
+    singular = bool(_singular(np.abs(np.array(pivots)), scale, rank_tol))
+    return TridiagonalLu(multipliers, swapped, pivots, sup, sup2, singular)
+
+
+def tridiag_solve(t: TridiagonalMatrix, rhs, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Solve a tridiagonal system by :func:`tridiag_factor` in O(n); raises
+    SingularSystem when the factorization is flagged singular."""
     b = np.asarray(rhs, dtype=float)
     n = t.n
     if b.shape != (n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
-    cp = np.empty(max(n - 1, 0))
-    x = np.empty(n)
-    denom = t.main[0]
-    if denom == 0.0:
-        raise SingularSystem("zero pivot in row 0")
-    if n > 1:
-        cp[0] = t.sup[0] / denom
-    x[0] = b[0] / denom
-    for i in range(1, n):
-        denom = t.main[i] - t.sub[i - 1] * cp[i - 1]
-        if denom == 0.0:
-            raise SingularSystem(f"zero pivot in row {i}")
-        if i < n - 1:
-            cp[i] = t.sup[i] / denom
-        x[i] = (b[i] - t.sub[i - 1] * x[i - 1]) / denom
-    for i in range(n - 2, -1, -1):
-        x[i] -= cp[i] * x[i + 1]
-    return x
+    f = tridiag_factor(t, rank_tol)
+    if f.singular:
+        raise SingularSystem(f"matrix is singular to rank tolerance {rank_tol:g}")
+    x = b.tolist() + [0.0, 0.0]
+    for i, (m, s) in enumerate(zip(f.multipliers, f.swapped)):
+        if s:
+            x[i], x[i + 1] = x[i + 1], x[i] - m * x[i + 1]
+        else:
+            x[i + 1] -= m * x[i]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - f.sup[i] * x[i + 1] - f.sup2[i] * x[i + 2]) / f.pivots[i]
+    return np.array(x[:n])
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ A - I decides (3a) (all n pivots positive) and the rank part of (3b) (the
 first n - 1 positive, the last zero), and its factors give the left kernel
 vector.  The structure of A, dense or :class:`TridiagonalMatrix`, is chosen
 once in :func:`_structure`; on tridiagonal input every step is O(n) in
-memory, and so is every diagnostic of an M-matrix A.
+memory, and so are the singularity tests and every diagnostic of an
+M-matrix A.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .linalg import (
     lu_factor,
     lu_nopivot,
     spectral_radius_nonneg,
+    tridiag_factor,
     tridiag_pivots,
 )
 
@@ -131,6 +133,16 @@ class _Dense:
     def is_irreducible(self, zero_tol: float) -> bool:
         return is_irreducible(self.a, zero_tol)
 
+    def singular(self, rank_tol: float) -> bool:
+        return lu_factor(self.a, rank_tol).singular
+
+    def inverse(self, rank_tol: float) -> np.ndarray | None:
+        """A^-1, or None when A is singular, from one factorization."""
+        try:
+            return inverse(self.a, rank_tol)
+        except SingularSystem:
+            return None
+
     def sigma_min(self) -> float:
         return float(scipy.linalg.svdvals(self.a, check_finite=False)[-1])
 
@@ -179,6 +191,16 @@ class _Tridiagonal:
 
     def is_irreducible(self, zero_tol: float) -> bool:
         return bool(np.all(np.abs(self.t.sub) > zero_tol) and np.all(np.abs(self.t.sup) > zero_tol))
+
+    def singular(self, rank_tol: float) -> bool:
+        return tridiag_factor(self.t, rank_tol).singular
+
+    def inverse(self, rank_tol: float) -> np.ndarray | None:
+        """A^-1 as a dense matrix, or None when A is singular, which is
+        decided in O(n) before anything dense is built."""
+        if self.singular(rank_tol):
+            return None
+        return _Dense(self.dense()).inverse(rank_tol)
 
     def sigma_min(self) -> float:
         t = self.t
@@ -317,7 +339,7 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
             "(certificate 3b); this criterion is sufficient, not proven "
             "equivalent, and rejects reducible singular cases"
         )
-    if z and not s3a and not s3b and lu_factor(ai.dense(), tols.rank_tol).singular:
+    if z and not s3a and not s3b and ai.singular(tols.rank_tol):
         notes.append(
             "A - I is a singular Z-matrix but fails the irreducible-kernel probe"
         )
@@ -330,24 +352,18 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
         norm_a_inv = _reciprocal(s.sigma_min())
         # under (3b), lambda_min(A) = 1 + lambda_min(A - I) = 1
         rho_abs_a_inv = 1.0 if s3b else _reciprocal(s.lambda_min())
-    else:
-        dense = s.dense()
-        try:
-            inv = inverse(dense, tols.rank_tol)
-        except SingularSystem:
-            pass
+    elif (inv := s.inverse(tols.rank_tol)) is not None:
+        norm_a_inv = _reciprocal(s.sigma_min())
+        if inv.min() >= 0.0 or inv.max() <= 0.0:
+            # |A^-1| = +-A^-1, whose Perron root is its spectral radius
+            rho_abs_a_inv = _reciprocal(float(np.abs(scipy.linalg.eigvals(s.dense())).min()))
         else:
-            norm_a_inv = _reciprocal(s.sigma_min())
-            if inv.min() >= 0.0 or inv.max() <= 0.0:
-                # |A^-1| = +-A^-1, whose Perron root is its spectral radius
-                rho_abs_a_inv = _reciprocal(float(np.abs(scipy.linalg.eigvals(dense)).min()))
-            else:
-                rr = spectral_radius_nonneg(np.abs(inv))
-                rho_abs_a_inv = rr.value
-                if not rr.converged:
-                    notes.append(
-                        "spectral-radius power iteration hit its cap; rho(|A^-1|) is an estimate"
-                    )
+            rr = spectral_radius_nonneg(np.abs(inv))
+            rho_abs_a_inv = rr.value
+            if not rr.converged:
+                notes.append(
+                    "spectral-radius power iteration hit its cap; rho(|A^-1|) is an estimate"
+                )
     if norm_a_inv is None:
         rho_abs_a_inv = None
         notes.append("A is singular; inverse-based diagnostics unavailable")

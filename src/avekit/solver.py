@@ -76,7 +76,7 @@ def _newton_step(p: AveProblem, d: np.ndarray) -> np.ndarray:
     """Solve [A - diag(d)] x = b for the next iterate."""
     if isinstance(p.a, TridiagonalMatrix):
         shifted = TridiagonalMatrix(p.a.sub, p.a.main - d, p.a.sup)
-        return tridiag_solve(shifted, p.b)
+        return tridiag_solve(shifted, p.b, DEFAULT_RANK_TOL)
     m = np.array(p.a)
     m[np.diag_indices_from(m)] -= d
     return solve(lu_factor(m, DEFAULT_RANK_TOL), p.b)
@@ -93,7 +93,11 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     solves the equation up to rounding and further steps would repeat the
     same system.  A singular step matrix is reported as status
     SingularStep rather than raised, since outside the certificates the
-    iteration may simply be undefined.
+    iteration may simply be undefined.  Each step is an LU factorization
+    with partial pivoting, dense or O(n) tridiagonal as ``p.a`` is stored,
+    and both decide a singular step by the singularity rule of
+    :mod:`avekit.linalg` at ``DEFAULT_RANK_TOL``, so the two storages stop
+    at the same step.
     """
     x = cfg.x0 if cfg.x0 is not None else np.ones(p.n)
     x = np.asarray(x, dtype=float)

@@ -240,6 +240,23 @@ def test_tridiag_agrees_with_dense_solver():
         x_dense = solve(lu_factor(t.to_dense()), b)
         denom = max(np.abs(x_dense).max(), 1.0)
         assert np.abs(x_fast - x_dense).max() / denom < 1e-10
+    # small-integer matrices, about a third singular and many needing row
+    # interchanges: the singular verdict is lu_factor's on every one
+    singular = 0
+    for _ in range(5000):
+        n = int(rng.integers(1, 12))
+        t = TridiagonalMatrix(*(rng.integers(-2, 3, size).astype(float) for size in (n - 1, n, n - 1)))
+        b = rng.normal(size=n)
+        f = lu_factor(t.to_dense())
+        singular += f.singular
+        if f.singular:
+            with pytest.raises(SingularSystem):
+                tridiag_solve(t, b)
+        else:
+            x_dense = solve(f, b)
+            denom = max(np.abs(x_dense).max(), 1.0)
+            assert np.abs(tridiag_solve(t, b) - x_dense).max() / denom < 1e-12
+    assert 1000 < singular < 2500
 
 
 def test_tridiag_matvec_matches_dense():

@@ -200,6 +200,38 @@ def test_ex1_diagnostics_match_closed_form(n, no_dense_tridiagonal):
     assert not any("estimate" in note for note in d.notes)
 
 
+def _uncoupled_path_laplacians(n):
+    """I + two path Laplacians with no coupling: A - I is a singular,
+    reducible Z-matrix."""
+    off = -np.ones(n - 1)
+    off[n // 2 - 1] = 0.0
+    degree = np.r_[0.0, -off] + np.r_[-off, 0.0]
+    return TridiagonalMatrix(off, 1.0 + degree, off)
+
+
+def _uncoupled_ones_blocks(n):
+    """Blocks [[1, 1], [1, 1]] with no coupling: a singular A whose A - I is
+    not a Z-matrix."""
+    off = np.zeros(n - 1)
+    off[::2] = 1.0
+    return TridiagonalMatrix(off, np.ones(n), off)
+
+
+def test_singular_z_note_stays_banded(no_dense_tridiagonal):
+    d = diagnostics(_uncoupled_path_laplacians(10_000))
+    assert d.is_z and not d.satisfies_3a and not d.satisfies_3b
+    assert "A - I is a singular Z-matrix but fails the irreducible-kernel probe" in d.notes
+    # A = I + L is a nonsingular M-matrix whose smallest eigenvalue is 1
+    assert d.rho_abs_a_inv == pytest.approx(1.0, rel=1e-12)
+    assert d.norm_a_inv == pytest.approx(1.0, rel=1e-12)
+
+
+def test_singular_a_stays_banded(no_dense_tridiagonal):
+    d = diagnostics(_uncoupled_ones_blocks(10_000))
+    assert not d.is_z and d.norm_a_inv is None and d.rho_abs_a_inv is None
+    assert "A is singular; inverse-based diagnostics unavailable" in d.notes
+
+
 def test_rho_abs_inverse_of_unit_triangular_m_matrix_is_one():
     # A = I + U with U strictly upper triangular and <= 0: |A^-1| = A^-1 is
     # unit upper triangular, so its Perron root is exactly 1
@@ -310,6 +342,9 @@ def _tridiagonal_cases(rng):
         )
         yield "symmetric", TridiagonalMatrix(sub, rng.uniform(-1.0, 3.0, n), sub)
         yield "singular", TridiagonalMatrix(np.zeros(n - 1), np.r_[0.0, np.ones(n - 1)], np.zeros(n - 1))
+    for n in (4, 7, 10):
+        yield "reducible singular Z", _uncoupled_path_laplacians(n)
+        yield "singular non-Z", _uncoupled_ones_blocks(n)
     for n in (8, 15, 20):
         # A - I is an upper bidiagonal nonsingular M-matrix and ||A^-1|| grows
         # like 5^n, far past where the eigenvalues of A^T A are only rounding

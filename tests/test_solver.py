@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from avekit.core import AveProblem, residual, sign_diagonal
+from avekit.linalg import TridiagonalMatrix
 from avekit.mclass import diagnostics, is_m_matrix
 from avekit.problems import gen_example1, gen_example_k, gen_random_3a, gen_random_3b
 from avekit.solver import SolverConfig, SolveStatus, gnm_solve, guard_d0
@@ -102,6 +103,25 @@ def test_tridiagonal_fast_path_matches_dense():
     rep_dense = gnm_solve(p_dense)
     assert rep_dense.iterations == rep_fast.iterations
     assert np.abs(rep_dense.x - rep_fast.x).max() <= 1e-10
+
+    # both storages decide a singular step by the same pivot rule
+    cases = [
+        # A - D(x0) = [[0, 1], [1, 0]] needs a row interchange
+        (TridiagonalMatrix([1.0], [1.0, 1.0], [1.0]), [3.0, 5.0], SolveStatus.CONVERGED, 1, [5.0, 3.0]),
+        # A - D(x0) has a pivot of 1e-13, below rank_tol * max|a|; x stays x0
+        (
+            TridiagonalMatrix([-1.0], [2.0, 2.0 + 1e-13], [-1.0]),
+            [1.0, 1.0],
+            SolveStatus.SINGULAR_STEP,
+            0,
+            [1.0, 1.0],
+        ),
+    ]
+    for t, b, status, iterations, x in cases:
+        for a in (t, t.to_dense()):
+            rep = gnm_solve(AveProblem(a, np.array(b)))
+            assert (rep.status, rep.iterations) == (status, iterations)
+            assert_allclose(rep.x, x, atol=1e-12)
 
 
 # ------------------------------------------------------------- guard_d0
