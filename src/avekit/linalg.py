@@ -277,16 +277,17 @@ def tridiag_factor(t: TridiagonalMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> 
     return TridiagonalLu(multipliers, swapped, pivots, sup, sup2, singular)
 
 
-def tridiag_solve(t: TridiagonalMatrix, rhs, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def tridiag_solve(t: TridiagonalMatrix, rhs) -> np.ndarray:
     """Solve a tridiagonal system by :func:`tridiag_factor` in O(n); raises
-    SingularSystem when the factorization is flagged singular."""
+    SingularSystem when the factorization is flagged singular at
+    ``DEFAULT_RANK_TOL``."""
     b = np.asarray(rhs, dtype=float)
     n = t.n
     if b.shape != (n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
-    f = tridiag_factor(t, rank_tol)
+    f = tridiag_factor(t)
     if f.singular:
-        raise SingularSystem(f"matrix is singular to rank tolerance {rank_tol:g}")
+        raise SingularSystem(f"matrix is singular to rank tolerance {DEFAULT_RANK_TOL:g}")
     x = b.tolist() + [0.0, 0.0]
     for i, (m, s) in enumerate(zip(f.multipliers, f.swapped)):
         if s:

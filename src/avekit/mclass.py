@@ -136,10 +136,11 @@ class _Dense:
     def singular(self, rank_tol: float) -> bool:
         return lu_factor(self.a, rank_tol).singular
 
-    def inverse(self, rank_tol: float) -> np.ndarray | None:
-        """A^-1, or None when A is singular, from one factorization."""
+    def dense_inverse(self, rank_tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """A and A^-1 as dense matrices, or None when A is singular, from
+        one factorization."""
         try:
-            return inverse(self.a, rank_tol)
+            return self.a, inverse(self.a, rank_tol)
         except SingularSystem:
             return None
 
@@ -149,9 +150,6 @@ class _Dense:
     def lambda_min(self) -> float:
         """Smallest real part of the spectrum (real for an M-matrix)."""
         return float(scipy.linalg.eigvals(self.a, check_finite=False).real.min())
-
-    def dense(self) -> np.ndarray:
-        return self.a
 
 
 def _lowest_eigenvalue(main: np.ndarray, off: np.ndarray) -> float:
@@ -195,12 +193,12 @@ class _Tridiagonal:
     def singular(self, rank_tol: float) -> bool:
         return tridiag_factor(self.t, rank_tol).singular
 
-    def inverse(self, rank_tol: float) -> np.ndarray | None:
-        """A^-1 as a dense matrix, or None when A is singular, which is
-        decided in O(n) before anything dense is built."""
+    def dense_inverse(self, rank_tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+        """A and A^-1 as dense matrices, or None when A is singular, which
+        is decided in O(n) before anything dense is built."""
         if self.singular(rank_tol):
             return None
-        return _Dense(self.dense()).inverse(rank_tol)
+        return _Dense(self.t.to_dense()).dense_inverse(rank_tol)
 
     def sigma_min(self) -> float:
         t = self.t
@@ -226,9 +224,6 @@ class _Tridiagonal:
         """Smallest eigenvalue of a Z-matrix, through the symmetric matrix
         with off-diagonals sqrt(sub * sup), which has the same spectrum."""
         return _lowest_eigenvalue(self.t.main, np.sqrt(np.maximum(self.t.sub * self.t.sup, 0.0)))
-
-    def dense(self) -> np.ndarray:
-        return self.t.to_dense()
 
 
 def _reciprocal(x: float) -> float | None:
@@ -352,11 +347,12 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
         norm_a_inv = _reciprocal(s.sigma_min())
         # under (3b), lambda_min(A) = 1 + lambda_min(A - I) = 1
         rho_abs_a_inv = 1.0 if s3b else _reciprocal(s.lambda_min())
-    elif (inv := s.inverse(tols.rank_tol)) is not None:
+    elif (pair := s.dense_inverse(tols.rank_tol)) is not None:
+        dense, inv = pair
         norm_a_inv = _reciprocal(s.sigma_min())
         if inv.min() >= 0.0 or inv.max() <= 0.0:
             # |A^-1| = +-A^-1, whose Perron root is its spectral radius
-            rho_abs_a_inv = _reciprocal(float(np.abs(scipy.linalg.eigvals(s.dense())).min()))
+            rho_abs_a_inv = _reciprocal(float(np.abs(scipy.linalg.eigvals(dense)).min()))
         else:
             rr = spectral_radius_nonneg(np.abs(inv))
             rho_abs_a_inv = rr.value

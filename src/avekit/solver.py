@@ -76,7 +76,7 @@ def _newton_step(p: AveProblem, d: np.ndarray) -> np.ndarray:
     """Solve [A - diag(d)] x = b for the next iterate."""
     if isinstance(p.a, TridiagonalMatrix):
         shifted = TridiagonalMatrix(p.a.sub, p.a.main - d, p.a.sup)
-        return tridiag_solve(shifted, p.b, DEFAULT_RANK_TOL)
+        return tridiag_solve(shifted, p.b)
     m = np.array(p.a)
     m[np.diag_indices_from(m)] -= d
     return solve(lu_factor(m, DEFAULT_RANK_TOL), p.b)
