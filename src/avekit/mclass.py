@@ -2,23 +2,23 @@
 termination certificates, plus the diagnostic norms of A^-1.
 
 Certificate (3a) asks for A - I to be a nonsingular M-matrix.  Certificate
-(3b) asks for A - I to be singular with a one-dimensional strictly
-positive left kernel and for every nonzero nonnegative diagonal shift of
-it to be an M-matrix; the universally quantified clause is decided here by
-the sufficient "singular irreducible M-matrix" criterion (Z-matrix +
-1-dimensional positive left kernel + irreducibility + M-matrix after a
-small positive diagonal shift).
+(3b) asks for A - I to be singular with a positive left kernel vector and
+every nonzero nonnegative diagonal shift of it a nonsingular M-matrix.
 
 Both rest on one test: a Z-matrix is a nonsingular M-matrix iff every
 pivot of its LU factorization without pivoting is positive, that is, iff
 all its leading principal minors are (Berman & Plemmons, *Nonnegative
 Matrices in the Mathematical Sciences*, Thm 6.2.3).  One elimination of
-A - I decides (3a) (all n pivots positive) and the rank part of (3b) (the
-first n - 1 positive, the last zero), and its factors give the left kernel
-vector.  The structure of A, dense or :class:`TridiagonalMatrix`, is chosen
-once in :func:`_structure`; on tridiagonal input every step is O(n) in
-memory, and so are the singularity tests and every diagnostic of an
-M-matrix A.
+A - I decides (3a), all n pivots positive, and (3b) by the sufficient
+criterion of Brugnano & Casulli (SIAM J. Sci. Comput. 30, 2008): the
+first n - 1 pivots positive and the last zero, the left kernel vector from
+the factors positive, and A - I irreducible.  No shift is factored: the
+leading block B is a nonsingular M-matrix, 0 <= (B + eI)^-1 <= B^-1 and
+the last row and column are <= 0, so a shift e >= 0 adds at least e to
+the last pivot; irreducibility then makes every nonzero nonnegative
+diagonal shift nonsingular (ibid., ch. 6).  Structure, dense or
+:class:`TridiagonalMatrix`, is chosen once in :func:`_structure`; on
+tridiagonal input every step is O(n) in memory.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import scipy.linalg
 from .core import as_square_matrix
 from .errors import SingularSystem
 from .linalg import (
+    DEFAULT_RANK_TOL,
     TridiagonalMatrix,
     inverse,
     is_irreducible,
@@ -40,9 +41,6 @@ from .linalg import (
     tridiag_factor,
     tridiag_pivots,
 )
-
-# The condition-(3b) shift probe uses eps = EPS_SHIFT_REL * max|entry of A - I|.
-EPS_SHIFT_REL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,12 @@ class Tolerances:
     """
 
     zero_tol: float = 1e-12
-    rank_tol: float = 1e-10
+    rank_tol: float = DEFAULT_RANK_TOL
+
+    def __post_init__(self):
+        for name, tol in (("zero_tol", self.zero_tol), ("rank_tol", self.rank_tol)):
+            if not 0.0 <= tol < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {tol}")
 
 
 DEFAULT_TOLS = Tolerances()
@@ -249,8 +252,8 @@ def _is_m(s: _Dense | _Tridiagonal, tols: Tolerances) -> bool:
 def _kernel_3b(
     ai: _Dense | _Tridiagonal, elim: _Elimination, tols: Tolerances
 ) -> np.ndarray | None:
-    """The positive left kernel vector of the Z-matrix A - I when the
-    remaining (3b) clauses hold, from its elimination; else None."""
+    """The positive left kernel vector of the Z-matrix A - I when its one
+    elimination shows a singular irreducible M-matrix; else None."""
     if not elim.only_last_zero:
         return None
     v = ai.left_kernel(elim.factors)
@@ -258,10 +261,6 @@ def _kernel_3b(
     if not (v > 0).all():
         return None
     if not ai.is_irreducible(tols.zero_tol):
-        return None
-    scale = ai.scale()
-    eps = EPS_SHIFT_REL * (scale if scale > 0.0 else 1.0)
-    if not _is_m(ai.shifted(eps), tols):
         return None
     v.setflags(write=False)
     return v
@@ -289,10 +288,10 @@ def check_condition_3b(
 ) -> tuple[bool, np.ndarray | None]:
     """Certificate (3b) via the singular-irreducible-M-matrix criterion.
 
-    Returns (True, v) with v the strictly positive left null vector of
-    A - I when all four clauses hold, else (False, None).  The criterion is
-    sufficient; reducible singular matrices are rejected even though the
-    underlying condition might admit them.
+    Returns (True, v) when A - I is an irreducible Z-matrix whose first
+    n - 1 pivots are positive and last is zero, all from one elimination,
+    and v, its left null vector, is positive; else (False, None).  The
+    criterion is sufficient and rejects reducible singular matrices.
     """
     ai = _structure(a).shifted(-1.0)
     if not ai.is_z(tols.zero_tol):

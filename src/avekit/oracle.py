@@ -115,8 +115,11 @@ def enumerate_solutions(p: AveProblem, verify_tol: float = DEFAULT_VERIFY_TOL) -
     chunks of at most CHUNK_BYTES of step matrices, each chunk through
     stacked LAPACK calls; solutions and branches keep that order.
 
-    Raises DimensionTooLarge above n = 20.
+    Raises DimensionTooLarge above n = 20, and ValueError when verify_tol
+    is negative or not finite.
     """
+    if not 0.0 <= verify_tol < np.inf:
+        raise ValueError(f"verify_tol must be finite and nonnegative, got {verify_tol}")
     _check_size(p.n)
     a = p.dense_a()
     b = p.b

@@ -40,8 +40,8 @@ class SolverConfig:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.x0 is not None:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,8 +81,8 @@ def test_solve_missing_file_exit(capsys):
 
 
 def test_solve_singular_step_exit(tmp_path, capsys):
-    # A = [1] with x0 = 1 hits the singular step matrix A - I = [0];
-    # the guard does not apply because [1] - 1 = [0] fails (3b)'s shift probe
+    # A = [1] holds (3b), so the guard negates x0 = 1; the step from -1
+    # gives x = 0.5, and the next step matrix A - I = [0] is singular
     path = write_problem(tmp_path, "sing.ave", [[1.0]], [1.0])
     code, out, _ = run(capsys, "solve", path, "--x0", "1")
     assert code == 3
@@ -163,6 +164,20 @@ def test_classify_entry_tol_is_a_usage_error(ex_files, capsys):
     assert "unrecognized arguments: --entry-tol 0.5" in capsys.readouterr().err
 
 
+def test_classify_3b_under_a_user_rank_tol(ex_files, capsys):
+    code, out, _ = run(capsys, "classify", ex_files[4], "--rank-tol", "1e-7")
+    assert code == 0
+    assert "3b: yes" in out
+    assert "verdict: UniqueSolution (basis: Condition3b_NegVb)" in out
+
+
+def test_classify_negative_rank_tol_is_a_usage_error(ex_files, capsys):
+    code, out, err = run(capsys, "classify", ex_files[4], "--rank-tol", "-1")
+    assert code == 6
+    assert out == ""
+    assert "rank_tol must be finite and nonnegative" in err
+
+
 def test_classify_json(ex_files, capsys):
     code, out, _ = run(capsys, "classify", ex_files[4], "--json")
     doc = json.loads(out)
@@ -184,6 +199,13 @@ def test_oracle_outputs(ex_files, capsys):
     doc = json.loads(out)
     assert doc["result"]["isolated"] == [[-4.0, -6.0]]
     assert doc["result"]["count"]["kind"] == "One"
+
+
+def test_oracle_negative_tol_is_a_usage_error(ex_files, capsys):
+    code, out, err = run(capsys, "oracle", ex_files[4], "--tol", "-1")
+    assert code == 6
+    assert out == ""
+    assert "verify_tol must be finite and nonnegative" in err
 
 
 def test_oracle_no_solutions(tmp_path, capsys):
@@ -249,7 +271,7 @@ def test_convert_scalar(tmp_path, capsys):
     path = str(tmp_path / "conv.ave")
     code, out, _ = run(capsys, "convert", "--T", "1", "--c", "3", "-o", path)
     assert code == 0
-    text = open(path).read()
+    text = Path(path).read_text()
     assert "A\n3" in text
     assert "b\n-6" in text
     assert "x = -y" in text

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from avekit import mclass
 from avekit.linalg import (
     TridiagonalMatrix,
     is_irreducible,
@@ -14,7 +15,6 @@ from avekit.linalg import (
     spectral_norm,
 )
 from avekit.mclass import (
-    EPS_SHIFT_REL,
     Tolerances,
     check_condition_3a,
     check_condition_3b,
@@ -174,6 +174,55 @@ def test_tolerances_record_defaults():
     assert tols.rank_tol == 1e-10
 
 
+@pytest.mark.parametrize("field", ["zero_tol", "rank_tol"])
+@pytest.mark.parametrize("value", [-1.0, -1e-300, np.nan, np.inf])
+def test_tolerances_refuse_negative_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        Tolerances(**{field: value})
+
+
+def test_tolerances_accept_zero():
+    assert Tolerances(zero_tol=0.0, rank_tol=0.0).rank_tol == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 10, 50])
+@pytest.mark.parametrize("rank_tol", [1e-10, 1e-9, 1e-8, 3e-8, 1e-7, 1e-6])
+def test_condition_3b_holds_across_rank_tol(n, rank_tol):
+    ok, v = check_condition_3b(gen_random_3b(n, 1).dense_a(), Tolerances(rank_tol=rank_tol))
+    assert ok
+    assert v.min() > 0
+
+
+def _path_laplacian_plus_identity(n):
+    """I + L with L the path Laplacian: A - I = L is a singular irreducible
+    M-matrix with left kernel vector ones."""
+    off = -np.ones(n - 1)
+    return TridiagonalMatrix(off, 1.0 + np.r_[1.0, 2.0 * np.ones(n - 2), 1.0], off)
+
+
+@pytest.mark.parametrize(
+    "name, a",
+    [
+        ("lu_nopivot", gen_example_k(4).dense_a()),
+        ("tridiag_pivots", _path_laplacian_plus_identity(20)),
+    ],
+)
+def test_condition_3b_is_one_elimination(monkeypatch, name, a):
+    calls = []
+    inner = getattr(mclass, name)
+
+    def counted(*args):
+        calls.append(name)
+        return inner(*args)
+
+    monkeypatch.setattr(mclass, name, counted)
+    ok, v = check_condition_3b(a)
+    assert ok and calls == [name]
+    assert_allclose(v, np.ones(v.size), rtol=1e-12)
+    calls.clear()
+    assert diagnostics(a).satisfies_3b and calls == [name]
+
+
 # ------------------------------------------------ one-pass certificate engine
 
 
@@ -272,7 +321,9 @@ def _reference_is_m(a, tols):
 
 
 def _reference_3b(a, tols):
-    """The former (3b) check: LU kernel of (A - I)^T and inverse entries."""
+    """The former (3b) check: LU kernel of (A - I)^T, inverse entries, and
+    an M-matrix test of A - I shifted by EPS_SHIFT_REL times its scale."""
+    EPS_SHIFT_REL = 1e-8
     n = a.shape[0]
     ai = a - np.eye(n)
     if not np.all(ai[~np.eye(n, dtype=bool)] <= tols.zero_tol):

@@ -100,6 +100,12 @@ def test_dimension_guard():
         count_solutions(p)
 
 
+@pytest.mark.parametrize("verify_tol", [-1.0, np.nan, np.inf])
+def test_verify_tol_must_be_finite_and_nonnegative(verify_tol):
+    with pytest.raises(ValueError, match="verify_tol"):
+        enumerate_solutions(gen_example_k(4), verify_tol)
+
+
 def test_isolated_solutions_are_sound():
     rng = np.random.default_rng(55)
     checked = 0

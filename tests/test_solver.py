@@ -85,8 +85,9 @@ def test_max_iter_override():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
+    for tol in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
