@@ -40,7 +40,6 @@ from .oracle import (
     enumerate_solutions,
 )
 from .problems import (
-    ProblemFile,
     SplitMix64,
     convert_max_form,
     gen_example1,
@@ -61,7 +60,6 @@ __all__ = [
     "ConditionReport",
     "DimensionTooLarge",
     "ParseError",
-    "ProblemFile",
     "SchemaError",
     "SignDiagonal",
     "SingularSystem",

@@ -57,10 +57,8 @@ def _is_symmetric(a: np.ndarray) -> bool:
     return bool(np.all(np.abs(a - a.T) <= SYMMETRY_TOL_REL * max(scale, 1.0)))
 
 
-def _solver_witness(p: AveProblem, report: ConditionReport | None) -> np.ndarray | None:
-    cfg = SolverConfig()
-    if report is not None and report.satisfies_3b:
-        cfg = guard_d0(p, cfg, report)
+def _solver_witness(p: AveProblem, v: np.ndarray | None) -> np.ndarray | None:
+    cfg = SolverConfig() if v is None else guard_d0(p, SolverConfig(), v)
     rep = gnm_solve(p, cfg)
     if rep.status in (SolveStatus.CONVERGED, SolveStatus.SIGN_STABILIZED):
         return rep.x
@@ -83,7 +81,7 @@ def classify(p: AveProblem, tols: Tolerances = DEFAULT_TOLS) -> SolvabilityVerdi
             Verdict.UNIQUE_SOLUTION,
             VerdictBasis.CONDITION_3A,
             None,
-            _solver_witness(p, report),
+            _solver_witness(p, report.v),
             report,
         )
 
@@ -96,7 +94,7 @@ def classify(p: AveProblem, tols: Tolerances = DEFAULT_TOLS) -> SolvabilityVerdi
                 Verdict.UNIQUE_SOLUTION,
                 VerdictBasis.CONDITION_3B_NEG_VB,
                 vb,
-                _solver_witness(p, report),
+                _solver_witness(p, report.v),
                 report,
             )
         if vb > tie:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .classify import Verdict, classify
+from .core import AveProblem
 from .errors import (
     AlphaOutOfRange,
     DimensionTooLarge,
@@ -26,10 +27,9 @@ from .errors import (
     SchemaError,
     SingularSystem,
 )
-from .mclass import ConditionReport, Tolerances, check_condition_3b
+from .mclass import Tolerances, check_condition_3b
 from .oracle import enumerate_solutions
 from .problems import (
-    ProblemFile,
     convert_max_form,
     gen_example1,
     gen_example_k,
@@ -67,7 +67,7 @@ REFERENCE_EXAMPLES: dict[int, tuple[tuple[float, float], int, tuple[float, float
 
 
 class UsageError(Exception):
-    """Invalid flag combination or inline payload; maps to exit 6."""
+    """Invalid flags, inline payload, or unusable --T or output file; exit 6."""
 
 
 def _sha256(path: str | Path) -> str:
@@ -86,12 +86,20 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2))
 
 
-def _load_file(path: str) -> tuple[ProblemFile, str]:
+def _load_file(path: str) -> tuple[AveProblem, str]:
     try:
-        pf = load(path)
+        p, _ = load(path)
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    return pf, _sha256(path)
+    return p, _sha256(path)
+
+
+def _save_file(path: str, p: AveProblem, metadata: dict[str, str]) -> str:
+    try:
+        save(path, p, metadata)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}") from e
+    return _sha256(path)
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -117,19 +125,12 @@ def _parse_inline_matrix(text: str) -> np.ndarray:
 
 
 def cmd_solve(args) -> int:
-    pf, digest = _load_file(args.file)
-    p = pf.to_problem()
+    p, digest = _load_file(args.file)
     x0 = _parse_vector(args.x0) if args.x0 else None
-    try:
-        cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, x0=x0)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, x0=x0)
     ok, v = check_condition_3b(p.a)
     if ok:
-        # minimal certificate record; the inverse-norm diagnostics are
-        # not needed to place the starting point
-        cert = ConditionReport(True, False, True, v, None, None, ())
-        cfg = guard_d0(p, cfg, cert)
+        cfg = guard_d0(p, cfg, v)
     report = gnm_solve(p, cfg)
 
     if args.json:
@@ -172,8 +173,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    pf, digest = _load_file(args.file)
-    p = pf.to_problem()
+    p, digest = _load_file(args.file)
     tols = Tolerances(zero_tol=args.zero_tol, rank_tol=args.rank_tol)
     verdict = classify(p, tols)
     rep = verdict.report
@@ -226,8 +226,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    pf, digest = _load_file(args.file)
-    p = pf.to_problem()
+    p, digest = _load_file(args.file)
     sols = enumerate_solutions(p, verify_tol=args.tol)
     count = sols.count()
 
@@ -276,22 +275,18 @@ def cmd_generate(args) -> int:
         raise UsageError(f"family {fam} does not take --seed")
 
     metadata = {"family": fam}
-    try:
-        if fam == "ex1":
-            p = gen_example1(args.n)
-            metadata["n"] = str(args.n)
-        elif fam in ("rand3a", "rand3b"):
-            gen = gen_random_3a if fam == "rand3a" else gen_random_3b
-            p = gen(args.n, args.seed)
-            metadata["n"] = str(args.n)
-            metadata["seed"] = str(args.seed)
-        else:
-            p = gen_example_k(int(fam[2:]))
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    if fam == "ex1":
+        p = gen_example1(args.n)
+        metadata["n"] = str(args.n)
+    elif fam in ("rand3a", "rand3b"):
+        gen = gen_random_3a if fam == "rand3a" else gen_random_3b
+        p = gen(args.n, args.seed)
+        metadata["n"] = str(args.n)
+        metadata["seed"] = str(args.seed)
+    else:
+        p = gen_example_k(int(fam[2:]))
 
-    save(args.output, ProblemFile.from_problem(p, metadata))
-    digest = _sha256(args.output)
+    digest = _save_file(args.output, p, metadata)
     if args.json:
         _print_json(
             {
@@ -310,8 +305,12 @@ def cmd_generate(args) -> int:
 
 def cmd_convert(args) -> int:
     if Path(args.T).exists():
+        try:
+            text = Path(args.T).read_text()
+        except OSError as e:
+            raise UsageError(f"cannot read {args.T}: {e}") from e
         rows = []
-        for line in Path(args.T).read_text().splitlines():
+        for line in text.splitlines():
             body = line.split("#", 1)[0].strip()
             if body:
                 try:
@@ -322,12 +321,8 @@ def cmd_convert(args) -> int:
     else:
         t = _parse_inline_matrix(args.T)
     c = _parse_vector(args.c)
-    try:
-        p, note = convert_max_form(t, c)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
-    save(args.output, ProblemFile.from_problem(p, {"source": "max-form", "note": note}))
-    digest = _sha256(args.output)
+    p, note = convert_max_form(t, c)
+    digest = _save_file(args.output, p, {"source": "max-form", "note": note})
     if args.json:
         _print_json(
             {

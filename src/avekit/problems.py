@@ -29,7 +29,6 @@ metadata note recording the flip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -173,69 +172,33 @@ def convert_max_form(t, c) -> tuple[AveProblem, str]:
     return AveProblem(a, b), note
 
 
-@dataclass
-class ProblemFile:
-    """In-memory image of a .ave file, always in minus convention."""
-
-    n: int
-    a: np.ndarray | TridiagonalMatrix
-    b: np.ndarray
-    structure: str
-    convention: str = "minus"
-    metadata: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.structure not in ("dense", "tridiagonal"):
-            raise ValueError(f"unknown structure {self.structure!r}")
-        if self.convention != "minus":
-            raise ValueError("in-memory problems are always minus-convention")
-        banded = isinstance(self.a, TridiagonalMatrix)
-        if banded != (self.structure == "tridiagonal"):
-            raise ValueError("structure field does not match the matrix storage")
-        self.b = as_vector(self.b)
-        if not banded:
-            self.a = as_square_matrix(self.a)
-        if self.a.shape[0] != self.n or self.b.shape[0] != self.n:
-            raise ValueError("n does not match the matrix and vector dimensions")
-
-    @classmethod
-    def from_problem(
-        cls, p: AveProblem, metadata: dict[str, str] | None = None
-    ) -> "ProblemFile":
-        structure = "tridiagonal" if p.is_tridiagonal else "dense"
-        return cls(p.n, p.a, p.b, structure, "minus", dict(metadata or {}))
-
-    def to_problem(self) -> AveProblem:
-        return AveProblem(self.a, self.b)
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def save(target, pf: ProblemFile) -> None:
-    """Write a problem file; accepts a path or a text stream."""
+def save(target, p: AveProblem, metadata: dict[str, str] | None = None) -> None:
+    """Write ``p`` in minus convention with one ``meta`` line per metadata
+    entry; accepts a path or a text stream."""
     lines = [
         f"version {FILE_VERSION}",
-        f"convention {pf.convention}",
-        f"structure {pf.structure}",
-        f"n {pf.n}",
+        "convention minus",
+        f"structure {'tridiagonal' if p.is_tridiagonal else 'dense'}",
+        f"n {p.n}",
     ]
-    if pf.structure == "dense":
-        lines.append("A")
-        for row in np.asarray(pf.a):
-            lines.append(" ".join(_fmt(x) for x in row))
-    else:
-        t = pf.a
+    if p.is_tridiagonal:
         lines.append("A.sub")
-        lines.append(" ".join(_fmt(x) for x in t.sub))
+        lines.append(" ".join(_fmt(x) for x in p.a.sub))
         lines.append("A.main")
-        lines.append(" ".join(_fmt(x) for x in t.main))
+        lines.append(" ".join(_fmt(x) for x in p.a.main))
         lines.append("A.super")
-        lines.append(" ".join(_fmt(x) for x in t.sup))
+        lines.append(" ".join(_fmt(x) for x in p.a.sup))
+    else:
+        lines.append("A")
+        for row in p.a:
+            lines.append(" ".join(_fmt(x) for x in row))
     lines.append("b")
-    lines.append(" ".join(_fmt(x) for x in pf.b))
-    for key, value in pf.metadata.items():
+    lines.append(" ".join(_fmt(x) for x in p.b))
+    for key, value in (metadata or {}).items():
         lines.append(f"meta {key} {value}")
     text = "\n".join(lines) + "\n"
     if hasattr(target, "write"):
@@ -325,17 +288,21 @@ class _TokenReader:
                 raise SchemaError(f"line {self.lineno}: non-finite value in {what}")
 
 
-def load(source) -> ProblemFile:
+def load(source) -> tuple[AveProblem, dict[str, str]]:
     """Read a problem file; accepts a path or a text stream.
 
-    Raises ParseError on malformed or truncated input and SchemaError on
-    dimension or value violations.  Plus-convention input is normalized to
-    minus convention (b is negated) with a metadata note.
+    Returns the problem in minus convention and the file's metadata.
+    Raises ParseError on malformed, truncated or non-UTF-8 input and
+    SchemaError on dimension or value violations.  Plus-convention input is
+    normalized to minus convention (b is negated) with a metadata note.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e.reason} at byte {e.start}") from None
     r = _TokenReader(text)
 
     r.expect("version")
@@ -384,4 +351,4 @@ def load(source) -> ProblemFile:
             "normalized_from",
             "plus convention; b negated on load, solutions map back via x = -y",
         )
-    return ProblemFile(n, a, b, structure, "minus", metadata)
+    return AveProblem(a, b), metadata

@@ -155,16 +155,17 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     )
 
 
-def guard_d0(p: AveProblem, cfg: SolverConfig, report3b) -> SolverConfig:
-    """Adjust a config for a problem holding a (3b) certificate.
+def guard_d0(p: AveProblem, cfg: SolverConfig, v: np.ndarray | None) -> SolverConfig:
+    """Adjust a config for a problem holding a (3b) certificate with
+    positive left kernel vector ``v`` (None when (3b) does not hold).
 
     If the starting point has D(x0) = I (all components positive), its
     first component is negated so the first step matrix A - D(x0) is
     nonsingular.  Also computes v.b and attaches a warning note when it is
     nonnegative, where the finite-termination guarantee does not apply.
     """
-    if not report3b.satisfies_3b or report3b.v is None:
-        raise ValueError("guard_d0 requires a report with a (3b) certificate")
+    if v is None:
+        raise ValueError("guard_d0 requires the (3b) left kernel vector v")
     x0 = cfg.x0 if cfg.x0 is not None else np.ones(p.n)
     x0 = np.asarray(x0, dtype=float)
     notes = list(cfg.notes)
@@ -172,7 +173,7 @@ def guard_d0(p: AveProblem, cfg: SolverConfig, report3b) -> SolverConfig:
         x0 = x0.copy()
         x0[0] = -x0[0]
         notes.append("x0 had D(x0) = I; negated its first component")
-    vb = float(report3b.v @ p.b)
+    vb = float(v @ p.b)
     if vb >= 0:
         notes.append(
             f"v.b = {vb:.6g} >= 0: the finite-termination guarantee does not apply"

@@ -18,7 +18,6 @@ from avekit.linalg import lu_factor, spectral_norm
 from avekit.mclass import diagnostics, is_m_matrix, is_z_matrix
 from avekit.oracle import SolutionCountKind, count_solutions, enumerate_solutions
 from avekit.problems import (
-    ProblemFile,
     gen_example1,
     gen_example_k,
     gen_random_3a,
@@ -54,7 +53,7 @@ def certified_runs():
                 cfg = SolverConfig()
             else:
                 p = gen_random_3b(n, seed)
-                cfg = guard_d0(p, SolverConfig(), diagnostics(p.dense_a()))
+                cfg = guard_d0(p, SolverConfig(), diagnostics(p.dense_a()).v)
             runs.append((family, n, seed, p, gnm_solve(p, cfg)))
     return runs
 
@@ -211,12 +210,11 @@ def test_criterion_8_round_trip_and_determinism(tmp_path):
         }
         for name, p in problems.items():
             path = tmp_path / f"{name}.ave"
-            save(path, ProblemFile.from_problem(p, {"family": name}))
-            pf = load(path)
+            save(path, p, {"family": name})
+            q, meta = load(path)
             again = tmp_path / f"{name}.2.ave"
-            save(again, pf)
+            save(again, q, meta)
             assert path.read_bytes() == again.read_bytes(), name
-            q = pf.to_problem()
             assert np.array_equal(q.dense_a(), p.dense_a()), name
             assert np.array_equal(q.b, p.b), name
 
@@ -228,6 +226,6 @@ def test_criterion_8_round_trip_and_determinism(tmp_path):
         }.items():
             p1 = tmp_path / f"{name}.r1.ave"
             p2 = tmp_path / f"{name}.r2.ave"
-            save(p1, ProblemFile.from_problem(gen(), {"family": name}))
-            save(p2, ProblemFile.from_problem(gen(), {"family": name}))
+            save(p1, gen(), {"family": name})
+            save(p2, gen(), {"family": name})
             assert p1.read_bytes() == p2.read_bytes(), name

@@ -12,7 +12,6 @@ PUBLIC_API = [
     "ConditionReport",
     "DimensionTooLarge",
     "ParseError",
-    "ProblemFile",
     "SchemaError",
     "SignDiagonal",
     "SingularSystem",

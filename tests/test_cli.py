@@ -9,7 +9,7 @@ import pytest
 
 from avekit.cli import main
 from avekit.core import AveProblem
-from avekit.problems import ProblemFile, save
+from avekit.problems import save
 
 
 def run(capsys, *argv):
@@ -20,7 +20,7 @@ def run(capsys, *argv):
 
 def write_problem(tmp_path, name, a, b):
     path = tmp_path / name
-    save(path, ProblemFile.from_problem(AveProblem(np.array(a), np.array(b))))
+    save(path, AveProblem(np.array(a), np.array(b)))
     return str(path)
 
 
@@ -243,6 +243,14 @@ def test_generate_flag_validation(tmp_path, capsys):
     assert run(capsys, "generate", "--family", "ex1", "--n", "1", "-o", out_path)[0] == 6
 
 
+def test_generate_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.ave")
+    code, out, err = run(capsys, "generate", "--family", "ex4", "-o", path)
+    assert code == 6
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
 def test_generate_solve_pipeline(tmp_path, capsys):
     path = str(tmp_path / "tri.ave")
     code, _, _ = run(capsys, "generate", "--family", "ex1", "--n", "50", "-o", path)
@@ -283,9 +291,9 @@ def test_convert_2x2_zero_t(tmp_path, capsys):
     assert code == 0
     from avekit.problems import load
 
-    pf = load(path)
-    assert np.array_equal(pf.a, np.eye(2))
-    assert np.array_equal(pf.b, np.array([-2.0, -2.0]))
+    p, _ = load(path)
+    assert np.array_equal(p.a, np.eye(2))
+    assert np.array_equal(p.b, np.array([-2.0, -2.0]))
 
 
 def test_convert_dimension_mismatch(tmp_path, capsys):
@@ -302,8 +310,34 @@ def test_convert_t_from_file(tmp_path, capsys):
     assert code == 0
     from avekit.problems import load
 
-    pf = load(path)
-    assert np.array_equal(pf.a, 3.0 * np.eye(2))
+    p, _ = load(path)
+    assert np.array_equal(p.a, 3.0 * np.eye(2))
+
+
+def test_convert_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "c.ave")
+    code, out, err = run(capsys, "convert", "--T", "1", "--c", "3", "-o", path)
+    assert code == 6
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+
+
+def test_convert_t_that_cannot_be_read_is_a_usage_error(tmp_path, capsys):
+    path = str(tmp_path / "c.ave")
+    code, out, err = run(capsys, "convert", "--T", str(tmp_path), "--c", "3", "-o", path)
+    assert code == 6
+    assert out == ""
+    assert err.startswith(f"error: cannot read {tmp_path}: ")
+    assert not Path(path).exists()
+
+
+def test_solve_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.ave"
+    bad.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "solve", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == "error: not UTF-8 text: invalid start byte at byte 0\n"
 
 
 def test_reproduce_examples(capsys):
@@ -328,3 +362,116 @@ def test_reproduce_json(capsys):
     assert doc["pass"] is True
     assert doc["table1"] is None
     assert {r["example"] for r in doc["examples"]} == {"ex2", "ex3", "ex4", "ex5"}
+
+
+# Full default text output on the four 2x2 examples, byte for byte.  The
+# default text is the interface scripts read, so it changes only on purpose.
+PINNED_TEXT = {
+    ("solve", 2): (
+        "k=0 res=1.621149e+01 d=(+1,+1)\n"
+        "k=1 res=0.000000e+00 d=(+1,+1)\n"
+        "IT=1 RES=0.0000e+00 x=(88, 32) status=Converged\n"
+    ),
+    ("solve", 3): (
+        "k=0 res=3.535534e+00 d=(+1,+1)\n"
+        "k=1 res=8.089499e+01 d=(-1,-1)\n"
+        "k=2 res=2.220446e-16 d=(-1,-1)\n"
+        "IT=2 RES=2.2204e-16 x=(-2.24, -1.2) status=Converged\n"
+    ),
+    ("solve", 4): (
+        "note: x0 had D(x0) = I; negated its first component\n"
+        "k=0 res=2.009975e+01 d=(-1,+1)\n"
+        "k=1 res=3.600000e+01 d=(-1,-1)\n"
+        "k=2 res=0.000000e+00 d=(-1,-1)\n"
+        "IT=2 RES=0.0000e+00 x=(-4, -6) status=Converged\n"
+    ),
+    ("solve", 5): (
+        "note: x0 had D(x0) = I; negated its first component\n"
+        "k=0 res=1.000000e+01 d=(-1,+1)\n"
+        "k=1 res=1.800000e+01 d=(-1,-1)\n"
+        "k=2 res=0.000000e+00 d=(-1,-1)\n"
+        "IT=2 RES=0.0000e+00 x=(-2, -3) status=Converged\n"
+    ),
+    ("classify", 2): (
+        "3a: yes\n"
+        "3b: no\n"
+        "||A^-1||: 1\n"
+        "rho(|A^-1|): 0.666667\n"
+        "note: A - I is a nonsingular M-matrix (certificate 3a)\n"
+        "verdict: UniqueSolution (basis: Condition3a)\n"
+        "solution: (88, 32)\n"
+    ),
+    ("classify", 3): (
+        "3a: yes\n"
+        "3b: no\n"
+        "||A^-1||: 1.60948\n"
+        "rho(|A^-1|): 0.666667\n"
+        "note: A - I is a nonsingular M-matrix (certificate 3a)\n"
+        "verdict: UniqueSolution (basis: Condition3a)\n"
+        "solution: (-2.24, -1.2)\n"
+    ),
+    ("classify", 4): (
+        "3a: no\n"
+        "3b: yes\n"
+        "v: (1, 1)\n"
+        "v.b: -20\n"
+        "||A^-1||: 1\n"
+        "rho(|A^-1|): 1\n"
+        "note: A - I is a singular irreducible M-matrix with positive left kernel (certificate 3b); this criterion is sufficient, not proven equivalent, and rejects reducible singular cases\n"
+        "verdict: UniqueSolution (basis: Condition3b_NegVb)\n"
+        "solution: (-4, -6)\n"
+    ),
+    ("classify", 5): (
+        "3a: no\n"
+        "3b: yes\n"
+        "v: (1, 0.5)\n"
+        "v.b: -7\n"
+        "||A^-1||: 1.17082\n"
+        "rho(|A^-1|): 1\n"
+        "note: A - I is a singular irreducible M-matrix with positive left kernel (certificate 3b); this criterion is sufficient, not proven equivalent, and rejects reducible singular cases\n"
+        "verdict: UniqueSolution (basis: Condition3b_NegVb)\n"
+        "solution: (-2, -3)\n"
+    ),
+    ("oracle", 2): (
+        "solution: (88, 32)\n"
+        "count: One (1)\n"
+    ),
+    ("oracle", 3): (
+        "solution: (-2.24, -1.2)\n"
+        "count: One (1)\n"
+    ),
+    ("oracle", 4): (
+        "solution: (-4, -6)\n"
+        "singular branch (+1,+1): inconsistent\n"
+        "count: One (1)\n"
+    ),
+    ("oracle", 5): (
+        "solution: (-2, -3)\n"
+        "singular branch (+1,+1): inconsistent\n"
+        "count: One (1)\n"
+    ),
+}
+
+PINNED_REPRODUCE_EXAMPLES = (
+    "ex2: IT=1 (reference: 1) x=(88, 32) maxerr=0.00e+00\n"
+    "ex3: IT=2 (reference: 2) x=(-2.24, -1.2) maxerr=4.44e-16\n"
+    "ex4: IT=2 (reference: 2) x=(-4, -6) maxerr=0.00e+00\n"
+    "ex5: IT=2 (reference: 2) x=(-2, -3) maxerr=0.00e+00\n"
+    "examples: PASS\n"
+)
+
+
+@pytest.mark.parametrize("command, k", sorted(PINNED_TEXT))
+def test_default_text_output_is_pinned(ex_files, capsys, command, k):
+    flags = ("--trace",) if command == "solve" else ()
+    code, out, err = run(capsys, command, ex_files[k], *flags)
+    assert code == 0
+    assert err == ""
+    assert out == PINNED_TEXT[command, k]
+
+
+def test_reproduce_examples_text_is_pinned(capsys):
+    code, out, err = run(capsys, "reproduce", "--examples")
+    assert code == 0
+    assert err == ""
+    assert out == PINNED_REPRODUCE_EXAMPLES

@@ -139,7 +139,7 @@ def test_certified_instances_have_unique_solution_matching_solver():
         ):
             cfg = SolverConfig()
             if family == "3b":
-                cfg = guard_d0(p, cfg, diagnostics(p.dense_a()))
+                cfg = guard_d0(p, cfg, diagnostics(p.dense_a()).v)
             rep = gnm_solve(p, cfg)
             sols = enumerate_solutions(p)
             assert len(sols.isolated) == 1, (family, seed)

@@ -14,7 +14,6 @@ from avekit.errors import ParseError, SchemaError
 from avekit.mclass import check_condition_3a, check_condition_3b, diagnostics
 from avekit.oracle import SolutionCountKind, count_solutions, enumerate_solutions
 from avekit.problems import (
-    ProblemFile,
     SplitMix64,
     convert_max_form,
     gen_example1,
@@ -165,7 +164,7 @@ def test_random_3b_oracle_and_solver():
     p = gen_random_3b(2, 11)
     assert count_solutions(p).kind is SolutionCountKind.ONE
     p6 = gen_random_3b(6, 11)
-    rep = gnm_solve(p6, guard_d0(p6, SolverConfig(), diagnostics(p6.dense_a())))
+    rep = gnm_solve(p6, guard_d0(p6, SolverConfig(), diagnostics(p6.dense_a()).v))
     assert rep.status is SolveStatus.CONVERGED
     assert rep.iterations <= 14
 
@@ -214,30 +213,28 @@ def test_convert_round_trip_through_oracle():
 
 def test_save_load_identity_dense(tmp_path):
     path = tmp_path / "ex4.ave"
-    save(path, ProblemFile.from_problem(gen_example_k(4), {"family": "ex4"}))
-    pf = load(path)
-    assert pf.n == 2
-    assert pf.structure == "dense"
-    assert_allclose(pf.a, [[3.0, -2.0], [-2.0, 3.0]])
-    assert_allclose(pf.b, [-4.0, -16.0])
-    assert pf.metadata["family"] == "ex4"
+    save(path, gen_example_k(4), {"family": "ex4"})
+    p, meta = load(path)
+    assert p.n == 2
+    assert not p.is_tridiagonal
+    assert_allclose(p.a, [[3.0, -2.0], [-2.0, 3.0]])
+    assert_allclose(p.b, [-4.0, -16.0])
+    assert meta["family"] == "ex4"
     # second save reproduces the file byte for byte
     path2 = tmp_path / "again.ave"
-    save(path2, pf)
+    save(path2, p, meta)
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_save_load_identity_tridiagonal(tmp_path):
     path = tmp_path / "tri.ave"
-    save(path, ProblemFile.from_problem(gen_example1(5)))
-    pf = load(path)
-    assert pf.structure == "tridiagonal"
-    p = pf.to_problem()
+    save(path, gen_example1(5))
+    p, meta = load(path)
     assert p.is_tridiagonal
     assert_allclose(p.dense_a(), gen_example1(5).dense_a())
     assert_allclose(p.b, gen_example1(5).b)
     path2 = tmp_path / "tri2.ave"
-    save(path2, pf)
+    save(path2, p, meta)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -246,10 +243,10 @@ def test_round_trip_exact_doubles(tmp_path):
     a = rng.normal(size=(3, 3)) * np.pi
     b = rng.normal(size=3) / 3.0
     path = tmp_path / "rt.ave"
-    save(path, ProblemFile.from_problem(AveProblem(a, b)))
-    pf = load(path)
-    assert np.array_equal(pf.a, a)  # bit-exact
-    assert np.array_equal(pf.b, b)
+    save(path, AveProblem(a, b))
+    p, _ = load(path)
+    assert np.array_equal(p.a, a)  # bit-exact
+    assert np.array_equal(p.b, b)
 
 
 def test_plus_convention_is_normalized():
@@ -263,10 +260,16 @@ A
 b
 4 16
 """
-    pf = load(io.StringIO(text))
-    assert pf.convention == "minus"
-    assert_allclose(pf.b, [-4.0, -16.0])
-    assert "normalized_from" in pf.metadata
+    p, meta = load(io.StringIO(text))
+    assert_allclose(p.b, [-4.0, -16.0])
+    assert "normalized_from" in meta
+    # saved again, the problem is written in minus convention, b still negated
+    buf = io.StringIO()
+    save(buf, p, meta)
+    assert "convention minus\n" in buf.getvalue()
+    assert "convention plus" not in buf.getvalue()
+    q, _ = load(io.StringIO(buf.getvalue()))
+    assert_allclose(q.b, [-4.0, -16.0])
 
 
 def test_comments_and_layout_tolerance():
@@ -282,15 +285,25 @@ b
 4 16
 meta family ex2
 """
-    pf = load(io.StringIO(text))
-    assert_allclose(pf.a, [[1.5, -1.25], [0.0, 1.5]])
-    assert pf.metadata["family"] == "ex2"
+    p, meta = load(io.StringIO(text))
+    assert_allclose(p.a, [[1.5, -1.25], [0.0, 1.5]])
+    assert meta["family"] == "ex2"
 
 
 def test_truncated_file_is_parse_error():
     text = "version 1\nconvention minus\nstructure dense\nn 2\nA\n1 2\n"
     with pytest.raises(ParseError):
         load(io.StringIO(text))
+
+
+def test_non_utf8_file_is_parse_error(tmp_path):
+    path = tmp_path / "bad.ave"
+    path.write_bytes(b"\xff\xfe\x00")
+    stream = io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
+    for source in (path, stream):
+        with pytest.raises(ParseError) as info:
+            load(source)
+        assert str(info.value) == "not UTF-8 text: invalid start byte at byte 0"
 
 
 def test_bad_token_is_parse_error():
@@ -390,6 +403,6 @@ def test_schema_violations():
 
 def test_stream_round_trip():
     buf = io.StringIO()
-    save(buf, ProblemFile.from_problem(gen_example_k(3)))
-    pf = load(io.StringIO(buf.getvalue()))
-    assert_allclose(pf.a, gen_example_k(3).dense_a())
+    save(buf, gen_example_k(3))
+    p, _ = load(io.StringIO(buf.getvalue()))
+    assert_allclose(p.a, gen_example_k(3).dense_a())

@@ -131,7 +131,7 @@ def test_tridiagonal_fast_path_matches_dense():
 def test_guard_flips_all_positive_start():
     p = gen_example_k(4)
     rep = diagnostics(p.dense_a())
-    cfg = guard_d0(p, SolverConfig(x0=np.array([1.0, 1.0])), rep)
+    cfg = guard_d0(p, SolverConfig(x0=np.array([1.0, 1.0])), rep.v)
     assert_allclose(cfg.x0, [-1.0, 1.0])
     assert any("negated" in n for n in cfg.notes)
 
@@ -139,7 +139,7 @@ def test_guard_flips_all_positive_start():
 def test_guard_keeps_mixed_start():
     p = gen_example_k(4)
     rep = diagnostics(p.dense_a())
-    cfg = guard_d0(p, SolverConfig(x0=np.array([1.0, -1.0])), rep)
+    cfg = guard_d0(p, SolverConfig(x0=np.array([1.0, -1.0])), rep.v)
     assert_allclose(cfg.x0, [1.0, -1.0])
     assert not any("negated" in n for n in cfg.notes)
 
@@ -148,11 +148,11 @@ def test_guard_warns_on_nonnegative_v_dot_b():
     p = gen_example_k(4)
     rep = diagnostics(p.dense_a())
     # v.b = -20 < 0: no warning
-    cfg = guard_d0(p, SolverConfig(), rep)
+    cfg = guard_d0(p, SolverConfig(), rep.v)
     assert not any("guarantee" in n for n in cfg.notes)
     # flip b so v.b = +20 > 0: warning attached
     p_pos = AveProblem(p.a, -p.b)
-    cfg = guard_d0(p_pos, SolverConfig(), rep)
+    cfg = guard_d0(p_pos, SolverConfig(), rep.v)
     assert any("guarantee" in n for n in cfg.notes)
 
 
@@ -160,7 +160,7 @@ def test_guard_requires_certificate():
     p = gen_example_k(2)
     rep = diagnostics(p.dense_a())
     with pytest.raises(ValueError):
-        guard_d0(p, SolverConfig(), rep)
+        guard_d0(p, SolverConfig(), rep.v)
 
 
 # ------------------------------------------- certified-instance properties
@@ -181,7 +181,7 @@ def test_finite_termination_and_monotonicity():
         cfg = SolverConfig()
         if rep3b is not None:
             assert rep3b.satisfies_3b
-            cfg = guard_d0(p, cfg, rep3b)
+            cfg = guard_d0(p, cfg, rep3b.v)
         rep = gnm_solve(p, cfg)
         assert rep.status in (SolveStatus.CONVERGED, SolveStatus.SIGN_STABILIZED), family
         assert rep.iterations <= 2 * p.n + 2
@@ -206,7 +206,7 @@ def test_3b_iterates_keep_a_negative_component():
         p = gen_random_3b(2 + seed % 5, seed)
         rep3b = diagnostics(p.dense_a())
         assert float(rep3b.v @ p.b) < 0
-        rep = gnm_solve(p, guard_d0(p, SolverConfig(), rep3b))
+        rep = gnm_solve(p, guard_d0(p, SolverConfig(), rep3b.v))
         # D(x^k) has a -1 exactly when x^k has a negative component
         for d in rep.sign_history[1:]:
             assert (d.diag == -1).any()
@@ -214,7 +214,7 @@ def test_3b_iterates_keep_a_negative_component():
 
 def test_converged_status_implies_residual_within_tol():
     for _, p, rep3b in _certified_sample():
-        cfg = SolverConfig() if rep3b is None else guard_d0(p, SolverConfig(), rep3b)
+        cfg = SolverConfig() if rep3b is None else guard_d0(p, SolverConfig(), rep3b.v)
         rep = gnm_solve(p, cfg)
         if rep.status in (SolveStatus.CONVERGED, SolveStatus.SIGN_STABILIZED):
             assert residual(p, rep.x)[1] <= cfg.tol
