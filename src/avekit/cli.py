@@ -306,8 +306,8 @@ def cmd_generate(args) -> int:
 def cmd_convert(args) -> int:
     if Path(args.T).exists():
         try:
-            text = Path(args.T).read_text()
-        except OSError as e:
+            text = Path(args.T).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
             raise UsageError(f"cannot read {args.T}: {e}") from e
         rows = []
         for line in text.splitlines():

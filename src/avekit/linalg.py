@@ -7,6 +7,12 @@ extraction, and the irreducibility check are written out here because
 their exact behavior (tolerances, flags, stopping points, deterministic
 starting vectors) is part of the library contract.
 
+``scipy.linalg`` is imported inside the functions that call it, not at
+module level: its import costs more than a whole tridiagonal solve, and
+generate, load, save, convert, tridiagonal solve and ``reproduce
+--table1`` never reach it.  The commands that do are classify, oracle,
+dense solve and ``reproduce --examples``.
+
 One rule decides singularity for every partial-pivoting LU, dense
 (:func:`lu_factor`, :func:`singular_flags`) or tridiagonal
 (:func:`tridiag_factor`): a matrix is singular when it is zero or when a
@@ -20,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularSystem
 
@@ -84,6 +89,8 @@ def _singular(pivots: np.ndarray, scale, rank_tol: float):
 
 def lu_factor(m, rank_tol: float = DEFAULT_RANK_TOL) -> LuFactorization:
     """Factor a square matrix, flagging singularity instead of raising."""
+    import scipy.linalg
+
     a = _square(m)
     with warnings.catch_warnings():
         # exact singularity is an expected, flagged outcome here
@@ -100,6 +107,8 @@ def singular_flags(stack: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.
     :func:`lu_factor`, so the pivots and flags are bit-identical; the
     factors are discarded.  The stack must be finite.
     """
+    import scipy.linalg
+
     getrf = scipy.linalg.lapack.dgetrf
     # work[k].T is matrix k, column-major, so getrf factors it in place
     work = np.ascontiguousarray(np.swapaxes(stack, 1, 2), dtype=float)
@@ -111,6 +120,8 @@ def singular_flags(stack: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.
 
 def solve(f: LuFactorization, rhs) -> np.ndarray:
     """Solve the factored system against a vector right-hand side."""
+    import scipy.linalg
+
     if f.singular:
         raise SingularSystem(
             f"matrix is singular to rank tolerance {f.rank_tol:g}"
@@ -123,6 +134,8 @@ def solve(f: LuFactorization, rhs) -> np.ndarray:
 
 def inverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Explicit inverse via LU; raises SingularSystem on rank deficiency."""
+    import scipy.linalg
+
     f = lu_factor(m, rank_tol)
     if f.singular:
         raise SingularSystem(
@@ -141,6 +154,8 @@ def lu_nopivot(m, floor: float) -> tuple[np.ndarray, int]:
     meaningful.  For a Z-matrix the pivots are the ratios of consecutive
     leading principal minors.
     """
+    import scipy.linalg
+
     u = np.array(_square(m))
     n = u.shape[0]
     for s in range(0, n, NOPIVOT_BLOCK):

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import as_square_matrix
 from .errors import SingularSystem
@@ -126,6 +125,8 @@ class _Dense:
         return _Elimination(self.n, np.diag(packed)[: k + 1], packed, floor)
 
     def left_kernel(self, packed: np.ndarray) -> np.ndarray:
+        import scipy.linalg
+
         # A = L U with U's last row zero, so v^T L = e_n^T
         e_n = np.zeros(self.n)
         e_n[-1] = 1.0
@@ -148,15 +149,21 @@ class _Dense:
             return None
 
     def sigma_min(self) -> float:
+        import scipy.linalg
+
         return float(scipy.linalg.svdvals(self.a, check_finite=False)[-1])
 
     def lambda_min(self) -> float:
         """Smallest real part of the spectrum (real for an M-matrix)."""
+        import scipy.linalg
+
         return float(scipy.linalg.eigvals(self.a, check_finite=False).real.min())
 
 
 def _lowest_eigenvalue(main: np.ndarray, off: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetric tridiagonal (off, main, off)."""
+    import scipy.linalg
+
     return float(
         scipy.linalg.eigvalsh_tridiagonal(
             main, off, select="i", select_range=(0, 0), check_finite=False
@@ -204,6 +211,8 @@ class _Tridiagonal:
         return _Dense(self.t.to_dense()).dense_inverse(rank_tol)
 
     def sigma_min(self) -> float:
+        import scipy.linalg
+
         t = self.t
         if np.array_equal(t.sub, t.sup):
             lam = _lowest_eigenvalue(t.main, t.sub)
@@ -350,6 +359,8 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
         dense, inv = pair
         norm_a_inv = _reciprocal(s.sigma_min())
         if inv.min() >= 0.0 or inv.max() <= 0.0:
+            import scipy.linalg
+
             # |A^-1| = +-A^-1, whose Perron root is its spectral radius
             rho_abs_a_inv = _reciprocal(float(np.abs(scipy.linalg.eigvals(dense)).min()))
         else:

@@ -22,6 +22,10 @@ from .linalg import DEFAULT_RANK_TOL, singular_flags
 MAX_ENUMERATION_N = 20
 DEFAULT_VERIFY_TOL = 1e-8
 DEFAULT_DEDUP_TOL = 1e-10
+# Kernel entries this far below the largest count as zero in the
+# one-dimensional consistency test; linprog (HiGHS) likewise drops
+# constraint coefficients below 1e-9.
+KERNEL_ZERO_TOL = 1e-9
 # Bytes of step matrices A - diag(s) handled at once; the stacked solve
 # and SVD hold a few copies of a chunk, so memory stays flat in n.
 CHUNK_BYTES = 1 << 18
@@ -84,17 +88,34 @@ def _check_size(n: int) -> None:
 def _sign_consistent_affine(
     x0: np.ndarray, kernel: np.ndarray, s: np.ndarray, tol: float
 ) -> bool:
-    """Does x0 + kernel @ t contain a point with s_i * x_i >= -tol for all i?"""
+    """Does x0 + kernel @ t contain a point with s_i * x_i >= -tol for all i?
+
+    With y = s * x0, row i asks y_i + a_i t >= -tol for a = s * kernel.
+    On a one-dimensional kernel each row with a_i != 0 is a half-line in t
+    and a row with a_i = 0 asks y_i >= -tol, so the set is an interval,
+    decided here; larger kernels go to linprog.  Entries of a below
+    KERNEL_ZERO_TOL times its largest count as zero: they are rounding
+    noise of the SVD, whose half-lines would start near |t| = 1e16.
+    """
+    y = s * x0
     if kernel.shape[1] == 0:
-        return bool(np.all(s * x0 >= -tol))
-    # imported here: only consistent singular branches need it, and it
-    # would otherwise add its import time to every command
+        return bool(np.all(y >= -tol))
+    if kernel.shape[1] == 1:
+        a = s * kernel[:, 0]
+        a[np.abs(a) <= KERNEL_ZERO_TOL * np.abs(a).max()] = 0.0
+        up, down = a > 0.0, a < 0.0
+        lo = np.max((-tol - y[up]) / a[up], initial=-np.inf)
+        hi = np.min((-tol - y[down]) / a[down], initial=np.inf)
+        return bool(np.all(y[a == 0.0] >= -tol) and lo <= hi)
+    # imported here: only singular branches with a kernel of dimension 2
+    # or more need it, and it would otherwise add its import time to
+    # every command
     from scipy.optimize import linprog
 
     res = linprog(
         c=np.zeros(kernel.shape[1]),
         A_ub=-(s[:, None] * kernel),
-        b_ub=s * x0 + tol,
+        b_ub=y + tol,
         bounds=(None, None),
         method="highs",
     )

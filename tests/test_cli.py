@@ -331,6 +331,17 @@ def test_convert_t_that_cannot_be_read_is_a_usage_error(tmp_path, capsys):
     assert not Path(path).exists()
 
 
+def test_convert_t_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    tfile = tmp_path / "t.txt"
+    tfile.write_bytes(b"\xff 1")
+    path = str(tmp_path / "c.ave")
+    code, out, err = run(capsys, "convert", "--T", str(tfile), "--c", "3", "-o", path)
+    assert code == 6
+    assert out == ""
+    assert err.startswith(f"error: cannot read {tfile}: ")
+    assert not Path(path).exists()
+
+
 def test_solve_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.ave"
     bad.write_bytes(b"\xff\xfe\x00")

@@ -1,0 +1,99 @@
+"""What a CLI call loads: scipy is imported on first use, so the calls
+that never reach a scipy routine never pay for its import."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import avekit
+from avekit.core import AveProblem
+from avekit.linalg import TridiagonalMatrix
+from avekit.problems import gen_example1, save
+
+SRC = Path(avekit.__file__).resolve().parent
+
+# Runs one CLI call (or only `import avekit`) and prints its exit code and
+# the scipy modules it left loaded.
+PROBE = """
+import sys
+if len(sys.argv) > 1:
+    from avekit.cli import main
+    code = main(sys.argv[1:])
+else:
+    import avekit
+    code = 0
+print(code, [m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules])
+"""
+
+
+def _tridiagonal_3b(n):
+    # A - I = tridiag(-1; 1, 2, ..., 2, 1; -1) is a singular irreducible
+    # M-matrix, so `solve` goes through the (3b) guard
+    main = np.full(n, 3.0)
+    main[[0, -1]] = 2.0
+    return AveProblem(TridiagonalMatrix(-np.ones(n - 1), main, -np.ones(n - 1)), -np.ones(n))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param([], id="import"),
+        pytest.param(["generate", "--family", "ex1", "--n", "50", "-o", "g.ave"], id="generate-ex1"),
+        pytest.param(
+            ["generate", "--family", "rand3a", "--n", "20", "--seed", "1", "-o", "g.ave"],
+            id="generate-rand3a",
+        ),
+        pytest.param(["solve", "ex1.ave"], id="solve-ex1"),
+        pytest.param(["solve", "t3b.ave"], id="solve-tridiagonal-3b"),
+        pytest.param(["reproduce", "--table1"], id="reproduce-table1"),
+        pytest.param(["convert", "--T", "1,0;0,1", "--c", "3,3", "-o", "c.ave"], id="convert"),
+    ],
+)
+def test_call_leaves_scipy_unloaded(tmp_path, argv):
+    save(tmp_path / "ex1.ave", gen_example1(50), {})
+    save(tmp_path / "t3b.ave", _tridiagonal_3b(50), {})
+    pythonpath = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def _import_time_imports(node):
+    """Import statements that run when the module is imported: everything
+    outside function bodies, class bodies included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _import_time_imports(child)
+
+
+def _imported_modules(node):
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module or ""] if node.level == 0 else []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy_at_import_time(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    offending = [
+        f"{path.name}:{node.lineno}"
+        for node in _import_time_imports(tree)
+        for name in _imported_modules(node)
+        if name.split(".")[0] == "scipy"
+    ]
+    assert offending == []

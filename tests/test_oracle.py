@@ -1,11 +1,7 @@
 """Brute-force enumeration against hand enumerations and the solver."""
 
 import itertools
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,21 +156,56 @@ def test_exhaustive_bound_recorded():
     assert sols.exhaustive_bound == 20
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # only consistent singular branches need linprog, so `import avekit`
-    # must not pay for scipy.optimize
-    import avekit
+def _linprog_consistent(x0, kernel, s, tol):
+    from scipy.optimize import linprog
 
-    src = str(Path(avekit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, avekit; print('scipy.optimize' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
+    res = linprog(
+        c=np.zeros(kernel.shape[1]),
+        A_ub=-(s[:, None] * kernel),
+        b_ub=s * x0 + tol,
+        bounds=(None, None),
+        method="highs",
     )
-    assert out.stdout.strip() == "False"
+    return res.status == 0
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.25])
+def test_one_dimensional_kernel_interval_matches_linprog(tol):
+    # Small integers keep every bound exact: rows are tight at t_star
+    # where s_i (x0_i + k_i t_star) = -tol, a k_i = 0 row sits on the
+    # boundary when s_i x0_i = -tol, and an empty interval misses by at
+    # least 1/8, far outside linprog's feasibility tolerance
+    rng = np.random.default_rng(17)
+    seen = {True: 0, False: 0}
+    tight = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        k = rng.integers(-2, 3, n).astype(float)
+        s = rng.choice([-1.0, 1.0], n)
+        t_star = float(rng.integers(-3, 4))
+        margin = rng.integers(-1, 3, n) - tol
+        x0 = s * margin - k * t_star
+        kernel = k[:, None]
+        if not k.any():
+            continue
+        got = _sign_consistent_affine(x0, kernel, s, tol)
+        assert got == _linprog_consistent(x0, kernel, s, tol), (x0, k, s)
+        seen[got] += 1
+        tight += int(np.any(margin == -tol))
+    assert min(seen.values()) > 50 and tight > 100
+
+
+def test_one_dimensional_kernel_ignores_rounding_noise():
+    # the SVD leaves ~1e-17 where the kernel entry is zero; as a half-line
+    # it would be met only at t ~ 1e16, and linprog drops it as well
+    x0 = np.array([-0.5, -0.5, 0.5])
+    kernel = np.array([[-0.7071067811865477], [0.7071067811865477], [-6.8e-17]])
+    s = np.array([-1.0, 1.0, -1.0])
+    assert not _sign_consistent_affine(x0, kernel, s, 1e-10)
+    assert not _linprog_consistent(x0, kernel, s, 1e-10)
+    # counted as zero, that row holds on its boundary s_i x0_i = -tol
+    x0[2] = 1e-10
+    assert _sign_consistent_affine(x0, kernel, s, 1e-10)
 
 
 def test_count_is_derived_from_the_solution_set():
