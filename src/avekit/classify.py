@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import AveProblem, as_vector
 from .errors import AlphaOutOfRange
-from .mclass import DEFAULT_TOLS, ConditionReport, Tolerances, diagnostics
+from .mclass import DEFAULT_TOLS, ConditionReport, Tolerances, diagnostics, is_symmetric
 from .solver import SolverConfig, SolveStatus, gnm_solve, guard_d0
 
 # Relative band around v.b = 0; values inside it are treated as zero.
@@ -50,11 +50,6 @@ class SolvabilityVerdict:
     v_dot_b: float | None
     witness: np.ndarray | None
     report: ConditionReport
-
-
-def _is_symmetric(a: np.ndarray) -> bool:
-    scale = float(np.abs(a).max())
-    return bool(np.all(np.abs(a - a.T) <= SYMMETRY_TOL_REL * max(scale, 1.0)))
 
 
 def _solver_witness(p: AveProblem, v: np.ndarray | None) -> np.ndarray | None:
@@ -101,7 +96,7 @@ def classify(p: AveProblem, tols: Tolerances = DEFAULT_TOLS) -> SolvabilityVerdi
             return SolvabilityVerdict(
                 Verdict.NO_SOLUTION, VerdictBasis.CONDITION_3B_POS_VB, vb, None, report
             )
-        if _is_symmetric(p.dense_a()):
+        if is_symmetric(p.a, SYMMETRY_TOL_REL):
             u = family_anchor(p)
             return SolvabilityVerdict(
                 Verdict.EXISTS_NOT_UNIQUE,

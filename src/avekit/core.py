@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TridiagonalMatrix
+from .linalg import TridiagonalMatrix, _freeze, _square
 
 
 def as_vector(x) -> np.ndarray:
@@ -28,13 +28,7 @@ def as_vector(x) -> np.ndarray:
 
 def as_square_matrix(m) -> np.ndarray:
     """Coerce to a finite, read-only square float matrix."""
-    a = np.array(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError(f"expected a nonempty square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    a.setflags(write=False)
-    return a
+    return _freeze(np.array(_square(m)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ the last row and column are <= 0, so a shift e >= 0 adds at least e to
 the last pivot; irreducibility then makes every nonzero nonnegative
 diagonal shift nonsingular (ibid., ch. 6).  Structure, dense or
 :class:`TridiagonalMatrix`, is chosen once in :func:`_structure`; on
-tridiagonal input every step is O(n) in memory.
+tridiagonal input every certificate step is O(n) in memory.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .linalg import (
     is_irreducible,
     lu_factor,
     lu_nopivot,
-    spectral_radius_nonneg,
     tridiag_factor,
     tridiag_pivots,
 )
@@ -70,8 +69,9 @@ class ConditionReport:
     ``v`` is the strictly positive left null vector of A - I when (3b)
     holds (unit max-entry normalization).  ``norm_a_inv`` and
     ``rho_abs_a_inv`` are the spectral norm of A^-1 and the Perron root of
-    |A^-1|; both are None when A itself is singular.  They are reported as
-    diagnostics only and never decide a certificate.
+    |A^-1|, both exact to rounding, and both None when A itself is
+    singular.  They are reported as diagnostics only and never decide a
+    certificate.
     """
 
     is_z: bool
@@ -115,6 +115,9 @@ class _Dense:
     def is_z(self, zero_tol: float) -> bool:
         return bool(np.all(self.a[~np.eye(self.n, dtype=bool)] <= zero_tol))
 
+    def is_symmetric(self, tol: float) -> bool:
+        return bool(np.all(np.abs(self.a - self.a.T) <= tol))
+
     def shifted(self, c: float) -> _Dense:
         a = np.array(self.a)
         a[np.diag_indices(self.n)] += c
@@ -140,11 +143,10 @@ class _Dense:
     def singular(self, rank_tol: float) -> bool:
         return lu_factor(self.a, rank_tol).singular
 
-    def dense_inverse(self, rank_tol: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """A and A^-1 as dense matrices, or None when A is singular, from
-        one factorization."""
+    def inverse(self, rank_tol: float) -> np.ndarray | None:
+        """A^-1, or None when A is singular."""
         try:
-            return self.a, inverse(self.a, rank_tol)
+            return inverse(self.a, rank_tol)
         except SingularSystem:
             return None
 
@@ -184,6 +186,9 @@ class _Tridiagonal:
     def is_z(self, zero_tol: float) -> bool:
         return bool(np.all(self.t.sub <= zero_tol) and np.all(self.t.sup <= zero_tol))
 
+    def is_symmetric(self, tol: float) -> bool:
+        return bool(np.all(np.abs(self.t.sub - self.t.sup) <= tol))
+
     def shifted(self, c: float) -> _Tridiagonal:
         return _Tridiagonal(TridiagonalMatrix(self.t.sub, self.t.main + c, self.t.sup))
 
@@ -203,12 +208,12 @@ class _Tridiagonal:
     def singular(self, rank_tol: float) -> bool:
         return tridiag_factor(self.t, rank_tol).singular
 
-    def dense_inverse(self, rank_tol: float) -> tuple[np.ndarray, np.ndarray] | None:
-        """A and A^-1 as dense matrices, or None when A is singular, which
-        is decided in O(n) before anything dense is built."""
+    def inverse(self, rank_tol: float) -> np.ndarray | None:
+        """A^-1 as a dense matrix, or None when A is singular, which is
+        decided in O(n) before anything dense is built."""
         if self.singular(rank_tol):
             return None
-        return _Dense(self.t.to_dense()).dense_inverse(rank_tol)
+        return _Dense(self.t.to_dense()).inverse(rank_tol)
 
     def sigma_min(self) -> float:
         import scipy.linalg
@@ -280,6 +285,12 @@ def is_z_matrix(m, zero_tol: float = DEFAULT_TOLS.zero_tol) -> bool:
     return _structure(m).is_z(zero_tol)
 
 
+def is_symmetric(m, rel_tol: float) -> bool:
+    """True iff |m_ij - m_ji| <= rel_tol * max(max|m|, 1) for every i, j."""
+    s = _structure(m)
+    return s.is_symmetric(rel_tol * max(s.scale(), 1.0))
+
+
 def is_m_matrix(m, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True iff m is a Z-matrix whose pivots without pivoting all exceed
     rank_tol times its largest entry magnitude (a nonsingular M-matrix);
@@ -314,9 +325,11 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
     ||A^-1||_2 and rho(|A^-1|).
 
     ||A^-1||_2 is 1/sigma_min(A).  When A is a nonsingular M-matrix,
-    A^-1 >= 0 and rho(|A^-1|) = 1/lambda_min(A); when A^-1 is otherwise of
-    one sign, it is 1/min|lambda(A)|.  Only an A^-1 with entries of both
-    signs falls back to power iteration on |A^-1|, whose cap is noted.
+    A^-1 >= 0 and rho(|A^-1|) = 1/lambda_min(A), O(n) on tridiagonal
+    input.  For every other nonsingular A, rho(|A^-1|) is the largest
+    eigenvalue magnitude of the dense |A^-1|, which is its Perron root:
+    one O(n^3) eigenvalue solve, with O(n^2) memory also on tridiagonal
+    input.
     """
     s = _structure(a)
     ai = s.shifted(-1.0)
@@ -355,21 +368,14 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
         norm_a_inv = _reciprocal(s.sigma_min())
         # under (3b), lambda_min(A) = 1 + lambda_min(A - I) = 1
         rho_abs_a_inv = 1.0 if s3b else _reciprocal(s.lambda_min())
-    elif (pair := s.dense_inverse(tols.rank_tol)) is not None:
-        dense, inv = pair
-        norm_a_inv = _reciprocal(s.sigma_min())
-        if inv.min() >= 0.0 or inv.max() <= 0.0:
-            import scipy.linalg
+    elif (inv := s.inverse(tols.rank_tol)) is not None:
+        import scipy.linalg
 
-            # |A^-1| = +-A^-1, whose Perron root is its spectral radius
-            rho_abs_a_inv = _reciprocal(float(np.abs(scipy.linalg.eigvals(dense)).min()))
-        else:
-            rr = spectral_radius_nonneg(np.abs(inv))
-            rho_abs_a_inv = rr.value
-            if not rr.converged:
-                notes.append(
-                    "spectral-radius power iteration hit its cap; rho(|A^-1|) is an estimate"
-                )
+        norm_a_inv = _reciprocal(s.sigma_min())
+        # the Perron root of the nonnegative |A^-1| is its spectral radius
+        rho_abs_a_inv = float(
+            np.abs(scipy.linalg.eigvals(np.abs(inv), check_finite=False)).max()
+        )
     if norm_a_inv is None:
         rho_abs_a_inv = None
         notes.append("A is singular; inverse-based diagnostics unavailable")

@@ -53,14 +53,24 @@ def test_classify_zero_v_dot_b_symmetric():
     assert count_solutions(p).kind is SolutionCountKind.CONTINUUM_SUSPECTED
 
 
-def test_classify_zero_v_dot_b_nonsymmetric_is_unknown():
+def test_classify_zero_v_dot_b_nonsymmetric_is_unknown(no_dense_tridiagonal):
     # the (3b) matrix of the nonsymmetric reference instance with b
     # orthogonal to v = (2, 1): certificates say nothing here
-    p = AveProblem(gen_example_k(5).a, np.array([1.0, -2.0]))
-    v = classify(p)
-    assert v.verdict is Verdict.UNKNOWN
-    assert v.basis is VerdictBasis.NO_CERTIFICATE
-    assert v.v_dot_b == pytest.approx(0.0, abs=1e-12)
+    problems = [AveProblem(gen_example_k(5).a, np.array([1.0, -2.0]))]
+    # tridiagonal A - I = tridiag(-1, d, -0.5) with zero column sums, so
+    # v = ones, and b orthogonal to v: symmetry is decided from the bands
+    n = 8
+    d = np.r_[1.0, np.full(n - 2, 1.5), 0.5]
+    b = np.sin(np.arange(n))
+    a = TridiagonalMatrix(-np.ones(n - 1), 1.0 + d, -0.5 * np.ones(n - 1))
+    problems.append(AveProblem(a, b - b.mean()))
+    for p in problems:
+        v = classify(p)
+        assert v.report.satisfies_3b
+        assert v.verdict is Verdict.UNKNOWN
+        assert v.basis is VerdictBasis.NO_CERTIFICATE
+        assert v.v_dot_b == pytest.approx(0.0, abs=1e-12)
+    assert_allclose(v.report.v, np.ones(n), rtol=1e-12)
 
 
 def test_classify_without_certificate():
@@ -133,11 +143,7 @@ def test_classifier_witness_agrees_with_oracle():
         assert np.abs(v.witness - sols.isolated[0]).max() <= 1e-8
 
 
-def test_classify_large_tridiagonal_stays_banded(monkeypatch):
-    def refuse(self):
-        raise AssertionError("classify built a dense copy of a tridiagonal matrix")
-
-    monkeypatch.setattr(TridiagonalMatrix, "to_dense", refuse)
+def test_classify_large_tridiagonal_stays_banded(no_dense_tridiagonal):
     n = 10_000
     v = classify(gen_example1(n))
     assert v.verdict is Verdict.UNIQUE_SOLUTION

@@ -231,14 +231,6 @@ def _ex1_inverse_norm(n):
     return 1.0 / (7.0 - 4.0 * np.cos(np.pi / (n + 1)))
 
 
-@pytest.fixture()
-def no_dense_tridiagonal(monkeypatch):
-    def refuse(self):
-        raise AssertionError("the tridiagonal path built a dense copy")
-
-    monkeypatch.setattr(TridiagonalMatrix, "to_dense", refuse)
-
-
 @pytest.mark.parametrize("n", [50, 500, 10_000])
 def test_ex1_diagnostics_match_closed_form(n, no_dense_tridiagonal):
     d = diagnostics(gen_example1(n).a)
@@ -295,17 +287,31 @@ def test_rho_abs_inverse_of_unit_triangular_m_matrix_is_one():
 
 
 def test_rho_abs_inverse_outside_m_matrices():
-    # A^-1 <= 0 entrywise: exact, through the eigenvalues of A
+    # A^-1 <= 0 entrywise
     d = diagnostics(-np.array([[2.0, -1.0], [-1.0, 2.0]]))
     assert d.rho_abs_a_inv == pytest.approx(1.0, rel=1e-14)
     assert d.norm_a_inv == pytest.approx(1.0, rel=1e-14)
-    # A^-1 of mixed sign: power iteration on |A^-1|
+    # A^-1 of mixed sign
     a = np.array([[1.0, -0.01], [0.01, 1.0]])
     inv = np.linalg.inv(a)
     d = diagnostics(a)
     assert d.norm_a_inv == pytest.approx(np.linalg.norm(inv, 2), rel=1e-12)
     want = np.abs(np.linalg.eigvals(np.abs(inv))).max()
-    assert d.rho_abs_a_inv == pytest.approx(want, rel=1e-8)
+    assert d.rho_abs_a_inv == pytest.approx(want, rel=1e-12)
+    # tridiag(1, 4, 1): S A S = tridiag(-1, 4, -1) with S = diag((-1)^i), so
+    # |A^-1| = (S A S)^-1 and rho(|A^-1|) = 1 / (4 - 2 cos(pi / (n + 1)))
+    n = 300
+    d = diagnostics(TridiagonalMatrix(np.ones(n - 1), 4.0 * np.ones(n), np.ones(n - 1)))
+    want = 1.0 / (4.0 - 2.0 * np.cos(np.pi / (n + 1)))
+    assert d.rho_abs_a_inv == pytest.approx(want, rel=1e-12)
+    assert not any("estimate" in note for note in d.notes)
+    # dense A = N(0, 1) + 3 sqrt(n) I, whose inverse has both signs
+    n = 12
+    a = np.random.default_rng(7).standard_normal((n, n)) + 3.0 * np.sqrt(n) * np.eye(n)
+    inv = np.linalg.inv(a)
+    assert inv.min() < 0.0 < inv.max()
+    want = np.abs(np.linalg.eigvals(np.abs(inv))).max()
+    assert diagnostics(a).rho_abs_a_inv == pytest.approx(want, rel=1e-12)
 
 
 def _reference_is_m(a, tols):
