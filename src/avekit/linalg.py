@@ -2,22 +2,26 @@
 
 Dense factorizations are delegated to LAPACK through scipy; elimination
 without pivoting (dense, blocked, and the O(n) tridiagonal recurrence),
-the O(n) tridiagonal LU with partial pivoting, power iterations, kernel
-extraction, and the irreducibility check are written out here because
-their exact behavior (tolerances, flags, stopping points, deterministic
-starting vectors) is part of the library contract.
+the O(n) tridiagonal LU with partial pivoting, the shared-prefix
+elimination of ``A - diag(s)`` over sign patterns, power iterations and
+the irreducibility check are written out here because their exact
+behavior (tolerances, flags, stopping points, deterministic starting
+vectors) is part of the library contract.
 
 ``scipy.linalg`` is imported inside the functions that call it, not at
 module level: its import costs more than a whole tridiagonal solve, and
-generate, load, save, convert, tridiagonal solve and ``reproduce
---table1`` never reach it.  The commands that do are classify, oracle,
-dense solve and ``reproduce --examples``.
+generate, load, save, convert, oracle, tridiagonal solve and
+``reproduce --table1`` never reach it.  The commands that do are
+classify, dense solve and ``reproduce --examples``.
 
 One rule decides singularity for every partial-pivoting LU, dense
-(:func:`lu_factor`, :func:`singular_flags`) or tridiagonal
-(:func:`tridiag_factor`): a matrix is singular when it is zero or when a
-pivot magnitude falls below ``rank_tol`` times its largest entry
-magnitude.
+(:func:`lu_factor`), over sign patterns (:func:`pattern_singular_flags`)
+or tridiagonal (:func:`tridiag_factor`): a matrix is singular when it is
+zero or when a pivot magnitude falls below ``rank_tol`` times its largest
+entry magnitude.  :func:`pattern_singular_flags` runs its own numpy
+elimination with getrf's row choices but not its rounding (getrf is
+blocked and scales by the reciprocal pivot), so the two can differ only
+on a matrix with a pivot within rounding of that threshold.
 """
 
 from __future__ import annotations
@@ -70,10 +74,6 @@ class LuFactorization:
     def n(self) -> int:
         return self.packed.shape[0]
 
-    @property
-    def upper(self) -> np.ndarray:
-        return np.triu(self.packed)
-
 
 def _singular(pivots: np.ndarray, scale, rank_tol: float):
     """The singularity rule: a zero matrix, or a pivot magnitude below
@@ -100,22 +100,51 @@ def lu_factor(m, rank_tol: float = DEFAULT_RANK_TOL) -> LuFactorization:
     return LuFactorization(_freeze(packed), _freeze(np.asarray(ipiv)), singular, rank_tol)
 
 
-def singular_flags(stack: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """``lu_factor(m, rank_tol).singular`` for every matrix m of a stack.
+def pattern_singular_flags(m, rank_tol: float, start: int, stop: int) -> np.ndarray:
+    """``lu_factor(m - diag(s), rank_tol).singular`` for the sign patterns s
+    numbered start..stop-1 in ``itertools.product((-1, 1), repeat=n)`` order.
 
-    Each matrix goes through the same LAPACK getrf call as in
-    :func:`lu_factor`, so the pivots and flags are bit-identical; the
-    factors are discarded.  The stack must be finite.
+    Step k of partial-pivoting LU reads only s_0..s_k, so each shared
+    prefix is eliminated once.  A node of the prefix tree holds the
+    trailing matrix after k steps with two copies of every column j not yet
+    decided, for s_j = -1 and s_j = +1, since only column j depends on s_j.
+    Branching on s_k picks column k's copy, takes its first largest
+    magnitude as pivot (the row getrf picks), updates both copies of the
+    other columns with the same multipliers and carries the least pivot
+    magnitude and the largest entry magnitude of the prefix, which each
+    pattern then passes to the singularity rule.  The deepest levels hold
+    about 100 bytes a pattern.
     """
-    import scipy.linalg
-
-    getrf = scipy.linalg.lapack.dgetrf
-    # work[k].T is matrix k, column-major, so getrf factors it in place
-    work = np.ascontiguousarray(np.swapaxes(stack, 1, 2), dtype=float)
-    for w in work:
-        getrf(w.T, overwrite_a=True)
-    pivots = np.abs(np.diagonal(work, axis1=1, axis2=2))
-    return _singular(pivots, np.abs(stack).max(axis=(1, 2)), rank_tol)
+    a = _square(m)
+    n = a.shape[0]
+    if not 0 <= start < stop <= 2**n:
+        raise ValueError(f"pattern range [{start}, {stop}) is not within [0, 2^{n})")
+    d = np.diagonal(a)
+    signs = np.array([-1.0, 1.0])
+    # t[node, row, c, j]: column j of the trailing matrix with s_j = signs[c]
+    t = np.repeat(a[None, :, None, :], 2, axis=2)
+    t[0, np.arange(n), :, np.arange(n)] -= signs
+    scale = np.array([np.abs(a - np.diag(d)).max()])
+    least = np.array([np.inf])
+    for k in range(n):
+        shift = n - 1 - k
+        # both children of every node, trimmed to the prefixes of the range
+        keep = slice((start >> shift) & 1, 2 * len(t) - 1 + (((stop - 1) >> shift) & 1))
+        col = t[:, :, :, 0].transpose(0, 2, 1).reshape(-1, n - k)[keep]
+        t = np.repeat(t[:, :, :, 1:], 2, axis=0)[keep]
+        scale = np.maximum(scale[:, None], np.abs(d[k] - signs)).ravel()[keep]
+        rows = np.arange(len(col))
+        i = np.argmax(np.abs(col), axis=1)
+        pivot = col[rows, i]
+        least = np.minimum(np.repeat(least, 2)[keep], np.abs(pivot))
+        # swap rows 0 and i, then eliminate below row 0; a zero column
+        # (pivot 0) is left as it is, as getrf does
+        top = t[rows, i]
+        t[rows, i] = t[:, 0]
+        col[rows, i] = col[:, 0]
+        mult = col[:, 1:] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        t = t[:, 1:] - mult[:, :, None, None] * top[:, None]
+    return _singular(least[:, None], scale, rank_tol)
 
 
 def solve(f: LuFactorization, rhs) -> np.ndarray:
@@ -398,46 +427,6 @@ def spectral_radius_nonneg(
             return PowerIterationResult(max(est - shift, 0.0), True, k)
         est_prev = est
     return PowerIterationResult(max(est - shift, 0.0), False, max_iter)
-
-
-@dataclass(frozen=True)
-class NullSpaceResult:
-    """Kernel summary for the transpose of a queried matrix.
-
-    ``basis_vector`` is present exactly when the kernel is one-dimensional,
-    normalized to unit max-entry with its largest-magnitude entry positive.
-    """
-
-    dimension: int
-    basis_vector: np.ndarray | None
-    rank_tolerance: float
-
-
-def null_space_left(m, rank_tol: float = DEFAULT_RANK_TOL) -> NullSpaceResult:
-    """Dimension (and 1-D basis) of the left kernel {v : v^T M = 0}.
-
-    Rank decisions reuse the LU pivot criterion of :func:`lu_factor` on
-    M^T, so dimension zero coincides exactly with a nonsingular report
-    there at the same tolerance.
-    """
-    a = _square(m)
-    n = a.shape[0]
-    scale = float(np.abs(a).max())
-    if scale == 0.0:
-        basis = _freeze(np.ones(1)) if n == 1 else None
-        return NullSpaceResult(n, basis, rank_tol)
-    f = lu_factor(a.T, rank_tol)
-    u = f.upper
-    small = np.flatnonzero(np.abs(np.diag(u)) < rank_tol * scale)
-    if small.size != 1:
-        return NullSpaceResult(int(small.size), None, rank_tol)
-    k = int(small[0])
-    v = np.zeros(n)
-    v[k] = 1.0
-    for i in range(k - 1, -1, -1):
-        v[i] = -(u[i, i + 1 : k + 1] @ v[i + 1 : k + 1]) / u[i, i]
-    v = v / v[np.argmax(np.abs(v))]
-    return NullSpaceResult(1, _freeze(v), rank_tol)
 
 
 def is_irreducible(m, zero_tol: float = 0.0) -> bool:

@@ -6,6 +6,12 @@ sign choice because diag(s) x = |x| is unaffected by zeros, so the
 2^n patterns cover all solutions without enumerating zeros explicitly.
 This is deliberately brute force; the problem family is NP-hard in
 general, and the point here is an independent verifier, not scale.
+
+Singular patterns are found by one elimination over the prefix tree of
+the patterns (:func:`avekit.linalg.pattern_singular_flags`), the others
+are solved in stacked numpy calls, so the enumeration runs on numpy
+alone; only a singular branch with a kernel of dimension 2 or more loads
+scipy, for ``linprog``.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from .core import AveProblem, residual
 from .errors import DimensionTooLarge
-from .linalg import DEFAULT_RANK_TOL, singular_flags
+from .linalg import DEFAULT_RANK_TOL, pattern_singular_flags
 
 MAX_ENUMERATION_N = 20
 DEFAULT_VERIFY_TOL = 1e-8
@@ -26,8 +32,10 @@ DEFAULT_DEDUP_TOL = 1e-10
 # one-dimensional consistency test; linprog (HiGHS) likewise drops
 # constraint coefficients below 1e-9.
 KERNEL_ZERO_TOL = 1e-9
-# Bytes of step matrices A - diag(s) handled at once; the stacked solve
-# and SVD hold a few copies of a chunk, so memory stays flat in n.
+# Bytes of working arrays handled at once: the step matrices A - diag(s)
+# of a chunk (8 n^2 bytes a pattern), of which the stacked solve and SVD
+# hold a few copies, or a batch of the shared-prefix elimination, about
+# 100 bytes a pattern (budgeted as 128).  Memory stays flat in n.
 CHUNK_BYTES = 1 << 18
 
 
@@ -132,9 +140,11 @@ def enumerate_solutions(p: AveProblem, verify_tol: float = DEFAULT_VERIFY_TOL) -
     consistent when the minimal-residual solution family reaches relative
     residual verify_tol * ||b|| and contains a sign-consistent point.
 
-    Patterns run in ``itertools.product((-1, 1), repeat=n)`` order, in
-    chunks of at most CHUNK_BYTES of step matrices, each chunk through
-    stacked LAPACK calls; solutions and branches keep that order.
+    Patterns run in ``itertools.product((-1, 1), repeat=n)`` order.  A
+    batch of them gets its singularity flags from one shared-prefix
+    elimination, then goes in chunks of at most CHUNK_BYTES of step
+    matrices through a stacked solve and a stacked SVD; solutions and
+    branches keep that order.
 
     Raises DimensionTooLarge above n = 20, and ValueError when verify_tol
     is negative or not finite.
@@ -147,23 +157,28 @@ def enumerate_solutions(p: AveProblem, verify_tol: float = DEFAULT_VERIFY_TOL) -
     n = p.n
     bnorm = float(np.linalg.norm(b))
     per_chunk = max(1, CHUNK_BYTES // (8 * n * n))
+    per_batch = per_chunk * max(1, CHUNK_BYTES // (128 * per_chunk))
     diag = np.arange(n)
 
     isolated: list[np.ndarray] = []
     branches: list[SingularBranch] = []
-    for start in range(0, 2**n, per_chunk):
-        s = _patterns(n, start, min(start + per_chunk, 2**n))
-        m = np.repeat(a[None], s.shape[0], axis=0)  # the stack A - diag(s)
-        m[:, diag, diag] -= s
-        singular = singular_flags(m, DEFAULT_RANK_TOL)
-        ok = ~singular
-        xs = np.linalg.solve(m[ok], b)
-        for x in xs[~np.any(s[ok] * xs < -DEFAULT_DEDUP_TOL, axis=1)]:
-            if residual(p, x)[1] > verify_tol:
-                continue
-            if not any(np.max(np.abs(x - y)) <= DEFAULT_DEDUP_TOL for y in isolated):
-                isolated.append(x)
-        branches += _probe_singular(m[singular], b, s[singular], verify_tol * bnorm)
+    for first in range(0, 2**n, per_batch):
+        last = min(first + per_batch, 2**n)
+        flags = pattern_singular_flags(a, DEFAULT_RANK_TOL, first, last)
+        for start in range(first, last, per_chunk):
+            stop = min(start + per_chunk, last)
+            s = _patterns(n, start, stop)
+            m = np.repeat(a[None], s.shape[0], axis=0)  # the stack A - diag(s)
+            m[:, diag, diag] -= s
+            singular = flags[start - first : stop - first]
+            ok = ~singular
+            xs = np.linalg.solve(m[ok], b)
+            for x in xs[~np.any(s[ok] * xs < -DEFAULT_DEDUP_TOL, axis=1)]:
+                if residual(p, x)[1] > verify_tol:
+                    continue
+                if not any(np.max(np.abs(x - y)) <= DEFAULT_DEDUP_TOL for y in isolated):
+                    isolated.append(x)
+            branches += _probe_singular(m[singular], b, s[singular], verify_tol * bnorm)
     return SolutionSet(tuple(isolated), tuple(branches), MAX_ENUMERATION_N)
 
 
@@ -180,6 +195,8 @@ def _probe_singular(
     """Branches of the singular stack m, whose patterns are the rows of s,
     from one stacked SVD: the least-squares x0 (with the cutoff of
     ``lstsq(rcond=None)``), its residual, and the kernel basis."""
+    if len(m) == 0:
+        return []  # most chunks have no singular pattern; skip the SVD call
     u, sv, vt = np.linalg.svd(m)
     keep = sv > np.finfo(float).eps * m.shape[1] * sv[:, :1]
     coef = np.where(keep, np.einsum("kji,j->ki", u, b) / np.where(keep, sv, 1.0), 0.0)

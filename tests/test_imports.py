@@ -13,7 +13,7 @@ import pytest
 import avekit
 from avekit.core import AveProblem
 from avekit.linalg import TridiagonalMatrix
-from avekit.problems import gen_example1, save
+from avekit.problems import gen_example1, gen_random_3a, gen_random_3b, save
 
 SRC = Path(avekit.__file__).resolve().parent
 
@@ -52,11 +52,18 @@ def _tridiagonal_3b(n):
         pytest.param(["solve", "t3b.ave"], id="solve-tridiagonal-3b"),
         pytest.param(["reproduce", "--table1"], id="reproduce-table1"),
         pytest.param(["convert", "--T", "1,0;0,1", "--c", "3,3", "-o", "c.ave"], id="convert"),
+        pytest.param(["oracle", "ex1_8.ave"], id="oracle-ex1"),
+        pytest.param(["oracle", "rand3a_8.ave"], id="oracle-rand3a"),
+        # one singular pattern, s = (1, ..., 1), decided by the stacked SVD
+        pytest.param(["oracle", "rand3b_8.ave"], id="oracle-rand3b"),
     ],
 )
 def test_call_leaves_scipy_unloaded(tmp_path, argv):
     save(tmp_path / "ex1.ave", gen_example1(50), {})
     save(tmp_path / "t3b.ave", _tridiagonal_3b(50), {})
+    save(tmp_path / "ex1_8.ave", gen_example1(8), {})
+    save(tmp_path / "rand3a_8.ave", gen_random_3a(8, 1), {})
+    save(tmp_path / "rand3b_8.ave", gen_random_3b(8, 1), {})
     pythonpath = [str(SRC.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     out = subprocess.run(

@@ -6,20 +6,22 @@ from numpy.testing import assert_allclose
 
 from avekit.errors import SingularSystem
 from avekit.linalg import (
+    DEFAULT_RANK_TOL,
     NOPIVOT_BLOCK,
     TridiagonalMatrix,
     inverse,
     is_irreducible,
     lu_factor,
     lu_nopivot,
-    null_space_left,
-    singular_flags,
+    pattern_singular_flags,
     solve,
     spectral_norm,
     spectral_radius_nonneg,
     tridiag_pivots,
     tridiag_solve,
 )
+from avekit.problems import gen_random_3a
+from left_kernel import null_space_left
 
 
 def cramer2(m, rhs):
@@ -43,7 +45,7 @@ def random_with_condition(rng, n, sigma_lo, sigma_hi):
 def test_lu_identity():
     f = lu_factor(np.eye(3))
     assert not f.singular
-    assert_allclose(f.upper, np.eye(3))
+    assert_allclose(np.triu(f.packed), np.eye(3))
     rng = np.random.default_rng(4)
     for _ in range(3):
         rhs = rng.normal(size=3)
@@ -80,21 +82,71 @@ def test_lu_permutation_reconstructs_input():
 # --------------------------------------------------------------- lu_nopivot
 
 
-def test_singular_flags_match_lu_factor_on_a_stack():
+def _lu_flags(a, patterns):
+    """The reference: one lu_factor per sign pattern, numbered in
+    itertools.product order."""
+    n = a.shape[0]
+    out = []
+    for k in patterns:
+        s = 2.0 * ((k >> np.arange(n - 1, -1, -1)) & 1) - 1.0
+        out.append(lu_factor(a - np.diag(s)).singular)
+    return out
+
+
+def test_pattern_singular_flags_match_lu_factor():
+    # small-integer matrices have many exactly singular patterns; the
+    # ranges start and stop off subtree boundaries, some hold one pattern
     rng = np.random.default_rng(17)
-    n = 5
-    mats = [rng.normal(size=(n, n)) for _ in range(6)]
-    mats.append(np.zeros((n, n)))
-    mats.append(np.outer(rng.normal(size=n), rng.normal(size=n)))  # rank one
-    # a last pivot on either side of rank_tol * max|entry|
-    for f in (0.5, 0.99, 1.01, 2.0):
-        mats.append(np.diag([1e3, 1e3, 1e3, 1e3, f * 1e-7]))
-    stack = np.array(mats)
-    expect = [lu_factor(m).singular for m in mats]
-    assert singular_flags(stack).tolist() == expect
-    assert expect[-4:] == [True, True, False, False]
-    # the input stack is left as it was
-    assert np.array_equal(stack, np.array(mats))
+    total = singular = 0
+    for trial in range(3000):
+        n = int(rng.integers(1, 8))
+        a = rng.integers(-2, 3, size=(n, n)).astype(float)
+        start = int(rng.integers(0, 2**n))
+        stop = start + 1 if trial % 3 == 0 else int(rng.integers(start + 1, 2**n + 1))
+        got = pattern_singular_flags(a, DEFAULT_RANK_TOL, start, stop)
+        expect = _lu_flags(a, range(start, stop))
+        assert got.tolist() == expect, (a, start, stop)
+        total += len(expect)
+        singular += sum(expect)
+    assert total > 20_000 and singular > 500
+
+
+def test_pattern_singular_flags_scalar_and_zero_step():
+    # n = 1: a - s is zero, hence singular, exactly when a = s
+    for a11, expect in ((1.0, [False, True]), (-1.0, [True, False]), (0.5, [False, False])):
+        assert pattern_singular_flags(np.array([[a11]]), DEFAULT_RANK_TOL, 0, 2).tolist() == expect
+    # A = diag(1, -1, 1): pattern (+1, -1, +1), number 5, gives the zero
+    # step matrix (scale 0); pattern (-1, +1, -1), number 2, is the only
+    # nonsingular one
+    a = np.diag([1.0, -1.0, 1.0])
+    got = pattern_singular_flags(a, DEFAULT_RANK_TOL, 0, 8).tolist()
+    assert got == _lu_flags(a, range(8))
+    assert got == [True, True, False, True, True, True, True, True]
+    assert pattern_singular_flags(a, DEFAULT_RANK_TOL, 5, 6).tolist() == [True]
+    # the input is left as it was
+    assert np.array_equal(a, np.diag([1.0, -1.0, 1.0]))
+
+
+def test_pattern_singular_flags_rand3a_16():
+    # beyond the n <= 12 of the enumeration parity tests: all 2^16 flags
+    # in two ranges that split a subtree, 2000 of them against lu_factor
+    a = gen_random_3a(16, 3).dense_a()
+    cut = 3 * 2**14 + 777
+    flags = np.concatenate(
+        [
+            pattern_singular_flags(a, DEFAULT_RANK_TOL, 0, cut),
+            pattern_singular_flags(a, DEFAULT_RANK_TOL, cut, 2**16),
+        ]
+    )
+    sample = np.random.default_rng(3).choice(2**16, size=2000, replace=False)
+    assert flags[sample].tolist() == _lu_flags(a, sample.tolist())
+
+
+def test_pattern_singular_flags_refuse_a_bad_range():
+    a = np.eye(3)
+    for start, stop in ((0, 0), (4, 3), (-1, 2), (0, 9)):
+        with pytest.raises(ValueError, match="pattern range"):
+            pattern_singular_flags(a, DEFAULT_RANK_TOL, start, stop)
 
 
 def test_lu_nopivot_reconstructs_across_blocks():

@@ -11,7 +11,6 @@ from avekit.linalg import (
     TridiagonalMatrix,
     is_irreducible,
     lu_factor,
-    null_space_left,
     spectral_norm,
 )
 from avekit.mclass import (
@@ -23,6 +22,7 @@ from avekit.mclass import (
     is_z_matrix,
 )
 from avekit.problems import gen_example1, gen_example_k, gen_random_3a, gen_random_3b
+from left_kernel import null_space_left
 
 
 def test_z_matrix_cases():
