@@ -1,32 +1,31 @@
 """Dense and tridiagonal linear-system kernels plus spectral diagnostics.
 
-Dense factorizations are delegated to LAPACK through scipy; elimination
-without pivoting (dense, blocked, and the O(n) tridiagonal recurrence),
-the O(n) tridiagonal LU with partial pivoting, the shared-prefix
-elimination of ``A - diag(s)`` over sign patterns, power iterations and
-the irreducibility check are written out here because their exact
-behavior (tolerances, flags, stopping points, deterministic starting
-vectors) is part of the library contract.
-
-``scipy.linalg`` is imported inside the functions that call it, not at
-module level: its import costs more than a whole tridiagonal solve, and
-generate, load, save, convert, oracle, tridiagonal solve and
-``reproduce --table1`` never reach it.  The commands that do are
-classify, dense solve and ``reproduce --examples``.
+Every kernel here is written out in numpy: the blocked LU, with partial
+pivoting (:func:`lu_factor`) or without (:func:`lu_nopivot`), and its
+blocked substitutions, the O(n) tridiagonal recurrences, the
+shared-prefix elimination of ``A - diag(s)`` over sign patterns, power
+iterations and the irreducibility check.  Their exact behavior
+(tolerances, flags, pivot rows, stopping points, deterministic starting
+vectors) is part of the library contract, and the module never imports
+scipy, whose ``scipy.linalg`` import costs more than most CLI calls.  Of
+the commands, only ``oracle`` on a singular pattern with a kernel of
+dimension 2 or more (for ``linprog``) and ``classify`` on a nonsingular
+tridiagonal matrix that is not symmetric positive definite (for
+``eigvals_banded``) load scipy.
 
 One rule decides singularity for every partial-pivoting LU, dense
 (:func:`lu_factor`), over sign patterns (:func:`pattern_singular_flags`)
 or tridiagonal (:func:`tridiag_factor`): a matrix is singular when it is
 zero or when a pivot magnitude falls below ``rank_tol`` times its largest
-entry magnitude.  :func:`pattern_singular_flags` runs its own numpy
-elimination with getrf's row choices but not its rounding (getrf is
-blocked and scales by the reciprocal pivot), so the two can differ only
-on a matrix with a pivot within rounding of that threshold.
+entry magnitude.  :func:`lu_factor` and :func:`pattern_singular_flags`
+pick getrf's pivot rows but round as their own loops do (the first is
+blocked, the second is not, and getrf scales by the reciprocal pivot),
+so they and getrf can differ only on a matrix with a pivot within
+rounding of that threshold.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,9 @@ from .errors import SingularSystem
 DEFAULT_RANK_TOL = 1e-10
 DEFAULT_POWER_TOL = 1e-10
 DEFAULT_POWER_MAX_ITER = 10_000
-# Panel width of lu_nopivot: wide enough that the trailing updates are
-# BLAS-3 products, narrow enough that the per-column Python loop is cheap.
+# Panel width of the blocked LU and block size of its substitutions: wide
+# enough that the updates are BLAS-3 products, narrow enough that the
+# per-column Python loop is cheap.
 NOPIVOT_BLOCK = 32
 
 
@@ -60,13 +60,13 @@ class LuFactorization:
     """Partial-pivoting LU factorization of a square matrix.
 
     ``packed`` holds U on and above the diagonal and the unit-lower
-    multipliers strictly below it (LAPACK getrf layout), with the row
-    interchanges in ``ipiv``.  ``singular`` follows the singularity rule of
-    this module.
+    multipliers strictly below it (the LAPACK getrf layout), and ``perm``
+    the row order: ``a[perm] = L U`` for the factored matrix ``a``.
+    ``singular`` follows the singularity rule of this module.
     """
 
     packed: np.ndarray
-    ipiv: np.ndarray
+    perm: np.ndarray
     singular: bool
     rank_tol: float
 
@@ -87,17 +87,87 @@ def _singular(pivots: np.ndarray, scale, rank_tol: float):
     return (scale == 0.0) | np.any(pivots < rank_tol * scale[..., None], axis=-1)
 
 
+def _factor(a: np.ndarray, floor: float | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Blocked LU of a copy of ``a`` in Crout (left-looking) order (Golub
+    & Van Loan, *Matrix Computations*, sec. 3.4).
+
+    Each panel of ``NOPIVOT_BLOCK`` columns first takes the updates of all
+    earlier panels by one matrix product, then is eliminated column by
+    column: step k takes the updates of the panel's earlier columns into
+    column k, picks the pivot and finishes row k of U inside the panel,
+    each by one matrix-vector product.  The block row right of the panel
+    then takes the earlier panels' updates by one matrix product and the
+    panel's own row by row.  So no step rewrites the whole trailing
+    matrix, and every product has a long inner dimension.
+
+    With ``floor`` None, step k interchanges row k with the first row of
+    largest magnitude in column k, the row getrf picks, and a zero column
+    is left as it is.  Otherwise no rows are interchanged and elimination
+    stops at the first pivot that is not above ``floor``.  Returns the
+    packed factors, the row order ``perm`` with ``a[perm] = L U`` and the
+    number of steps taken.
+    """
+    u = np.array(a, order="C")
+    n = u.shape[0]
+    perm = np.arange(n)
+    for s in range(0, n, NOPIVOT_BLOCK):
+        e = min(s + NOPIVOT_BLOCK, n)
+        u[s:, s:e] -= u[s:, :s] @ u[:s, s:e]
+        for k in range(s, e):
+            if k > s:
+                u[k:, k] -= u[k:, s:k] @ u[s:k, k]
+            if floor is None:
+                i = k + int(np.abs(u[k:, k]).argmax())
+                if i != k:
+                    row = u[k].copy()
+                    u[k] = u[i]
+                    u[i] = row
+                    perm[k], perm[i] = perm[i], perm[k]
+            elif not u[k, k] > floor:
+                return u, perm, k
+            pivot = u[k, k]
+            if pivot != 0.0:
+                u[k + 1 :, k] /= pivot
+            if k > s:
+                u[k, k + 1 : e] -= u[k, s:k] @ u[s:k, k + 1 : e]
+        if e < n:
+            u[s:e, e:] -= u[s:e, :s] @ u[:s, e:]
+            for k in range(s + 1, e):
+                u[k, e:] -= u[k, s:k] @ u[s:k, e:]
+    return u, perm, n
+
+
+def triangular_solve(packed: np.ndarray, rhs, lower: bool, trans: bool = False) -> np.ndarray:
+    """Solve T x = rhs, or T^T x = rhs when ``trans``, for T the unit-lower
+    (``lower``) or the upper triangular factor held in ``packed``.
+
+    Each diagonal block of ``NOPIVOT_BLOCK`` rows is solved as a small
+    dense system and the rest of ``rhs`` updated by one matrix product, so
+    a vector costs O(n^2) and a matrix of k columns O(k n^2).
+    """
+    t = packed.T if trans else packed
+    x = np.array(rhs, dtype=float)
+    n = t.shape[0]
+    forward = lower != trans
+    starts = range(0, n, NOPIVOT_BLOCK)
+    for s in starts if forward else reversed(starts):
+        e = min(s + NOPIVOT_BLOCK, n)
+        block = packed[s:e, s:e]
+        tri = np.tril(block, -1) + np.eye(e - s) if lower else np.triu(block)
+        x[s:e] = np.linalg.solve(tri.T if trans else tri, x[s:e])
+        if forward:
+            x[e:] -= t[e:, s:e] @ x[s:e]
+        else:
+            x[:s] -= t[:s, s:e] @ x[s:e]
+    return x
+
+
 def lu_factor(m, rank_tol: float = DEFAULT_RANK_TOL) -> LuFactorization:
     """Factor a square matrix, flagging singularity instead of raising."""
-    import scipy.linalg
-
     a = _square(m)
-    with warnings.catch_warnings():
-        # exact singularity is an expected, flagged outcome here
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        packed, ipiv = scipy.linalg.lu_factor(a, check_finite=False)
+    packed, perm, _ = _factor(a, None)
     singular = bool(_singular(np.abs(np.diag(packed)), np.abs(a).max(), rank_tol))
-    return LuFactorization(_freeze(packed), _freeze(np.asarray(ipiv)), singular, rank_tol)
+    return LuFactorization(_freeze(packed), _freeze(perm), singular, rank_tol)
 
 
 def pattern_singular_flags(m, rank_tol: float, start: int, stop: int) -> np.ndarray:
@@ -147,10 +217,13 @@ def pattern_singular_flags(m, rank_tol: float, start: int, stop: int) -> np.ndar
     return _singular(least[:, None], scale, rank_tol)
 
 
+def _lu_solve(f: LuFactorization, rhs: np.ndarray) -> np.ndarray:
+    y = triangular_solve(f.packed, rhs[f.perm], lower=True)
+    return triangular_solve(f.packed, y, lower=False)
+
+
 def solve(f: LuFactorization, rhs) -> np.ndarray:
     """Solve the factored system against a vector right-hand side."""
-    import scipy.linalg
-
     if f.singular:
         raise SingularSystem(
             f"matrix is singular to rank tolerance {f.rank_tol:g}"
@@ -158,23 +231,22 @@ def solve(f: LuFactorization, rhs) -> np.ndarray:
     b = np.asarray(rhs, dtype=float)
     if b.shape != (f.n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({f.n},)")
-    return scipy.linalg.lu_solve((f.packed, f.ipiv), b, check_finite=False)
+    return _lu_solve(f, b)
 
 
 def inverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Explicit inverse via LU; raises SingularSystem on rank deficiency."""
-    import scipy.linalg
-
     f = lu_factor(m, rank_tol)
     if f.singular:
         raise SingularSystem(
             f"matrix is singular to rank tolerance {rank_tol:g}; no inverse"
         )
-    return scipy.linalg.lu_solve((f.packed, f.ipiv), np.eye(f.n), check_finite=False)
+    return _lu_solve(f, np.eye(f.n))
 
 
 def lu_nopivot(m, floor: float) -> tuple[np.ndarray, int]:
-    """Gaussian elimination without row exchanges, blocked right-looking.
+    """Gaussian elimination without row exchanges, blocked, by the
+    elimination loop of :func:`lu_factor`.
 
     Returns the packed factors (unit-lower multipliers strictly below the
     diagonal, U on and above it) and the number k of leading pivots above
@@ -183,23 +255,8 @@ def lu_nopivot(m, floor: float) -> tuple[np.ndarray, int]:
     meaningful.  For a Z-matrix the pivots are the ratios of consecutive
     leading principal minors.
     """
-    import scipy.linalg
-
-    u = np.array(_square(m))
-    n = u.shape[0]
-    for s in range(0, n, NOPIVOT_BLOCK):
-        e = min(s + NOPIVOT_BLOCK, n)
-        for k in range(s, e):
-            if not u[k, k] > floor:
-                return u, k
-            u[k + 1 :, k] /= u[k, k]
-            u[k + 1 :, k + 1 : e] -= np.outer(u[k + 1 :, k], u[k, k + 1 : e])
-        if e < n:
-            u[s:e, e:] = scipy.linalg.solve_triangular(
-                u[s:e, s:e], u[s:e, e:], lower=True, unit_diagonal=True, check_finite=False
-            )
-            u[e:, e:] -= u[e:, s:e] @ u[s:e, e:]
-    return u, n
+    packed, _, k = _factor(_square(m), floor)
+    return packed, k
 
 
 @dataclass(frozen=True)

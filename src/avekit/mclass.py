@@ -36,6 +36,7 @@ from .linalg import (
     is_irreducible,
     lu_factor,
     lu_nopivot,
+    triangular_solve,
     tridiag_factor,
     tridiag_pivots,
 )
@@ -128,14 +129,11 @@ class _Dense:
         return _Elimination(self.n, np.diag(packed)[: k + 1], packed, floor)
 
     def left_kernel(self, packed: np.ndarray) -> np.ndarray:
-        import scipy.linalg
-
-        # A = L U with U's last row zero, so v^T L = e_n^T
+        # A = L U with U's last row zero, so v^T L = e_n^T, one O(n^2)
+        # substitution with L^T
         e_n = np.zeros(self.n)
         e_n[-1] = 1.0
-        return scipy.linalg.solve_triangular(
-            packed, e_n, trans="T", lower=True, unit_diagonal=True, check_finite=False
-        )
+        return triangular_solve(packed, e_n, lower=True, trans=True)
 
     def is_irreducible(self, zero_tol: float) -> bool:
         return is_irreducible(self.a, zero_tol)
@@ -151,26 +149,53 @@ class _Dense:
             return None
 
     def sigma_min(self) -> float:
-        import scipy.linalg
-
-        return float(scipy.linalg.svdvals(self.a, check_finite=False)[-1])
+        """Smallest singular value, from a dense SVD."""
+        return float(np.linalg.svd(self.a, compute_uv=False)[-1])
 
     def lambda_min(self) -> float:
-        """Smallest real part of the spectrum (real for an M-matrix)."""
-        import scipy.linalg
+        """Smallest real part of the spectrum (real for an M-matrix), from a
+        dense eigenvalue solve."""
+        return float(np.linalg.eigvals(self.a).real.min())
 
-        return float(scipy.linalg.eigvals(self.a, check_finite=False).real.min())
 
+def _lowest_eigenvalue(main: np.ndarray, coupling: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    ``main`` and squared off-diagonals ``coupling`` (all >= 0).
 
-def _lowest_eigenvalue(main: np.ndarray, off: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric tridiagonal (off, main, off)."""
-    import scipy.linalg
+    Bisection on Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9,
+    1967, the method of LAPACK stebz) in O(n) memory: x is at or above
+    the lowest eigenvalue iff T - xI has a nonpositive pivot in LU without
+    pivoting, so each count stops at the first one.  The bracket runs
+    from the Gershgorin lower bound to the least diagonal entry and is
+    halved until it is one rounding unit of its larger end wide.
+    """
+    d = main.tolist()
+    c = [0.0] + coupling.tolist()
+    off = np.sqrt(coupling)
+    radius = np.zeros(len(d))
+    radius[:-1] += off
+    radius[1:] += off
+    lo = float((main - radius).min())
+    hi = min(d)
 
-    return float(
-        scipy.linalg.eigvalsh_tridiagonal(
-            main, off, select="i", select_range=(0, 0), check_finite=False
-        )[0]
-    )
+    def not_below(x: float) -> bool:
+        q = 1.0
+        for di, ci in zip(d, c):
+            q = di - x - ci / q
+            if q <= 0.0:
+                return True
+        return False
+
+    tol = np.finfo(float).eps * max(abs(lo), abs(hi))
+    while hi - lo > tol:
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            break
+        if not_below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * lo + 0.5 * hi
 
 
 class _Tridiagonal:
@@ -179,6 +204,7 @@ class _Tridiagonal:
     def __init__(self, t: TridiagonalMatrix):
         self.t = t
         self.n = t.n
+        self._lambda_min: float | None = None
 
     def scale(self) -> float:
         return float(np.abs(np.concatenate((self.t.sub, self.t.main, self.t.sup))).max())
@@ -216,13 +242,13 @@ class _Tridiagonal:
         return _Dense(self.t.to_dense()).inverse(rank_tol)
 
     def sigma_min(self) -> float:
+        """Smallest singular value: lambda_min when A is symmetric positive
+        definite, else from the banded Jordan-Wielandt matrix."""
+        t = self.t
+        if np.array_equal(t.sub, t.sup) and (lam := self.lambda_min()) > 0.0:
+            return lam
         import scipy.linalg
 
-        t = self.t
-        if np.array_equal(t.sub, t.sup):
-            lam = _lowest_eigenvalue(t.main, t.sub)
-            if lam > 0.0:
-                return lam
         # The symmetric [[0, A], [A^T, 0]] has eigenvalues +-sigma_i(A), and
         # interleaving the two halves makes it banded with three
         # superdiagonals (Golub & Van Loan, sec. 8.6).  Its eigenvalue n, in
@@ -238,9 +264,14 @@ class _Tridiagonal:
         return abs(float(sigma))
 
     def lambda_min(self) -> float:
-        """Smallest eigenvalue of a Z-matrix, through the symmetric matrix
-        with off-diagonals sqrt(sub * sup), which has the same spectrum."""
-        return _lowest_eigenvalue(self.t.main, np.sqrt(np.maximum(self.t.sub * self.t.sup, 0.0)))
+        """Smallest eigenvalue of a Z-matrix, or of a symmetric matrix,
+        through the symmetric matrix with off-diagonals sqrt(sub * sup),
+        which has the same spectrum; one Sturm bisection, kept for the
+        next call."""
+        if self._lambda_min is None:
+            coupling = np.maximum(self.t.sub * self.t.sup, 0.0)
+            self._lambda_min = _lowest_eigenvalue(self.t.main, coupling)
+        return self._lambda_min
 
 
 def _reciprocal(x: float) -> float | None:
@@ -369,13 +400,9 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
         # under (3b), lambda_min(A) = 1 + lambda_min(A - I) = 1
         rho_abs_a_inv = 1.0 if s3b else _reciprocal(s.lambda_min())
     elif (inv := s.inverse(tols.rank_tol)) is not None:
-        import scipy.linalg
-
         norm_a_inv = _reciprocal(s.sigma_min())
         # the Perron root of the nonnegative |A^-1| is its spectral radius
-        rho_abs_a_inv = float(
-            np.abs(scipy.linalg.eigvals(np.abs(inv), check_finite=False)).max()
-        )
+        rho_abs_a_inv = float(np.abs(np.linalg.eigvals(np.abs(inv))).max())
     if norm_a_inv is None:
         rho_abs_a_inv = None
         notes.append("A is singular; inverse-based diagnostics unavailable")

@@ -1,5 +1,8 @@
 """What a CLI call loads: scipy is imported on first use, so the calls
-that never reach a scipy routine never pay for its import."""
+that never reach a scipy routine never pay for its import.  Only
+``oracle`` with a kernel of dimension 2 or more and ``classify`` on a
+nonsingular tridiagonal matrix that is not symmetric positive definite
+reach one."""
 
 import ast
 import os
@@ -56,6 +59,14 @@ def _tridiagonal_3b(n):
         pytest.param(["oracle", "rand3a_8.ave"], id="oracle-rand3a"),
         # one singular pattern, s = (1, ..., 1), decided by the stacked SVD
         pytest.param(["oracle", "rand3b_8.ave"], id="oracle-rand3b"),
+        # the dense LU, SVD and eigenvalue kernels and the Sturm bisection
+        pytest.param(["classify", "ex1.ave"], id="classify-ex1"),
+        pytest.param(["classify", "rand3a_8.ave"], id="classify-rand3a"),
+        pytest.param(["classify", "rand3b_8.ave"], id="classify-rand3b"),
+        # n = 40 runs the blocked elimination and substitutions past one panel
+        pytest.param(["solve", "rand3a_40.ave"], id="solve-rand3a-blocked"),
+        pytest.param(["classify", "rand3a_40.ave"], id="classify-rand3a-blocked"),
+        pytest.param(["reproduce", "--examples"], id="reproduce-examples"),
     ],
 )
 def test_call_leaves_scipy_unloaded(tmp_path, argv):
@@ -64,6 +75,7 @@ def test_call_leaves_scipy_unloaded(tmp_path, argv):
     save(tmp_path / "ex1_8.ave", gen_example1(8), {})
     save(tmp_path / "rand3a_8.ave", gen_random_3a(8, 1), {})
     save(tmp_path / "rand3b_8.ave", gen_random_3b(8, 1), {})
+    save(tmp_path / "rand3a_40.ave", gen_random_3a(40, 1), {})
     pythonpath = [str(SRC.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     out = subprocess.run(

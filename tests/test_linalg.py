@@ -1,7 +1,10 @@
 """Linear-algebra kernels against closed forms and brute-force oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from avekit.errors import SingularSystem
@@ -9,6 +12,7 @@ from avekit.linalg import (
     DEFAULT_RANK_TOL,
     NOPIVOT_BLOCK,
     TridiagonalMatrix,
+    _singular,
     inverse,
     is_irreducible,
     lu_factor,
@@ -20,6 +24,7 @@ from avekit.linalg import (
     tridiag_pivots,
     tridiag_solve,
 )
+from avekit.mclass import _lowest_eigenvalue
 from avekit.problems import gen_random_3a
 from left_kernel import null_space_left
 
@@ -79,33 +84,100 @@ def test_lu_permutation_reconstructs_input():
             assert np.abs(a @ x - rhs).max() <= 1e-13 * n * scale * np.abs(x).max()
 
 
+def _getrf(a):
+    """LAPACK getrf through scipy, the reference: its row order (ipiv
+    applied as interchanges) and its packed factors."""
+    with warnings.catch_warnings():
+        # an exactly zero pivot is expected on singular input
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        packed, ipiv = scipy.linalg.lu_factor(a)
+    perm = np.arange(a.shape[0])
+    for k, i in enumerate(ipiv):
+        perm[[k, i]] = perm[[i, k]]
+    return packed, perm
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 64, 65, 200])
+def test_lu_factor_matches_getrf(n):
+    # sizes at and around the panel width, and several panels
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        a = rng.normal(size=(n, n))
+        f = lu_factor(a)
+        packed, perm = _getrf(a)
+        assert f.perm.tolist() == perm.tolist()
+        assert np.abs(np.diag(f.packed) - np.diag(packed)).max() <= 1e-12 * np.abs(a).max()
+        lower = np.tril(f.packed, -1) + np.eye(n)
+        assert np.abs(lower @ np.triu(f.packed) - a[f.perm]).max() <= 1e-13 * n * np.abs(a).max()
+
+
+def test_lu_factor_leaves_a_zero_column():
+    # column 0 is zero: no interchange, no division, pivot 0, singular
+    a = np.array([[0.0, 1.0, 2.0], [0.0, 3.0, 1.0], [0.0, 1.0, 5.0]])
+    f = lu_factor(a)
+    assert f.singular
+    assert f.perm.tolist() == _getrf(a)[1].tolist()
+    assert np.isfinite(f.packed).all() and f.packed[0, 0] == 0.0
+
+
+def test_solve_and_inverse_across_panels():
+    # the blocked substitutions against numpy's dense solve and inverse
+    rng = np.random.default_rng(8)
+    for n in (NOPIVOT_BLOCK - 1, NOPIVOT_BLOCK + 1, 3 * NOPIVOT_BLOCK + 5):
+        a = random_with_condition(rng, n, 0.1, 10.0)
+        b = rng.normal(size=n)
+        assert_allclose(solve(lu_factor(a), b), np.linalg.solve(a, b), rtol=1e-11, atol=1e-12)
+        assert_allclose(inverse(a), np.linalg.inv(a), rtol=1e-11, atol=1e-12)
+
+
 # --------------------------------------------------------------- lu_nopivot
 
 
-def _lu_flags(a, patterns):
-    """The reference: one lu_factor per sign pattern, numbered in
-    itertools.product order."""
+def _step_matrices(a, patterns):
+    """a - diag(s) for the sign patterns s numbered in itertools.product
+    order."""
     n = a.shape[0]
-    out = []
     for k in patterns:
-        s = 2.0 * ((k >> np.arange(n - 1, -1, -1)) & 1) - 1.0
-        out.append(lu_factor(a - np.diag(s)).singular)
-    return out
+        yield a - np.diag(2.0 * ((k >> np.arange(n - 1, -1, -1)) & 1) - 1.0)
 
 
-def test_pattern_singular_flags_match_lu_factor():
-    # small-integer matrices have many exactly singular patterns; the
-    # ranges start and stop off subtree boundaries, some hold one pattern
+def _lu_flags(a, patterns):
+    """The reference: one lu_factor per sign pattern."""
+    return [lu_factor(m).singular for m in _step_matrices(a, patterns)]
+
+
+def _small_integer_ranges():
+    """3000 small-integer matrices, which have many exactly singular
+    patterns, each with a range of patterns; the ranges start and stop off
+    subtree boundaries, and some hold one pattern."""
     rng = np.random.default_rng(17)
-    total = singular = 0
     for trial in range(3000):
         n = int(rng.integers(1, 8))
         a = rng.integers(-2, 3, size=(n, n)).astype(float)
         start = int(rng.integers(0, 2**n))
         stop = start + 1 if trial % 3 == 0 else int(rng.integers(start + 1, 2**n + 1))
+        yield a, start, stop
+
+
+def test_pattern_singular_flags_match_lu_factor():
+    total = singular = 0
+    for a, start, stop in _small_integer_ranges():
         got = pattern_singular_flags(a, DEFAULT_RANK_TOL, start, stop)
         expect = _lu_flags(a, range(start, stop))
         assert got.tolist() == expect, (a, start, stop)
+        total += len(expect)
+        singular += sum(expect)
+    assert total > 20_000 and singular > 500
+
+
+def test_lu_factor_flags_match_getrf():
+    total = singular = 0
+    for a, start, stop in _small_integer_ranges():
+        expect = []
+        for m in _step_matrices(a, range(start, stop)):
+            pivots = np.abs(np.diag(_getrf(m)[0]))
+            expect.append(bool(_singular(pivots, np.abs(m).max(), DEFAULT_RANK_TOL)))
+        assert _lu_flags(a, range(start, stop)) == expect, (a, start, stop)
         total += len(expect)
         singular += sum(expect)
     assert total > 20_000 and singular > 500
@@ -316,6 +388,36 @@ def test_tridiag_matvec_matches_dense():
     t = TridiagonalMatrix(rng.normal(size=9), rng.normal(size=10), rng.normal(size=9))
     x = rng.normal(size=10)
     assert_allclose(t.matvec(x), t.to_dense() @ x)
+
+
+# ------------------------------------------- lowest tridiagonal eigenvalue
+
+
+def _eigvalsh_lowest(main, off):
+    return scipy.linalg.eigvalsh_tridiagonal(main, off, select="i", select_range=(0, 0))[0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 200])
+def test_lowest_eigenvalue_matches_lapack(n):
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        main = rng.normal(size=n) * 5.0
+        off = rng.normal(size=n - 1)
+        if trial % 4 == 1:
+            main -= 20.0  # a negative spectrum
+        if trial % 4 == 2 and n > 1:
+            off[rng.random(n - 1) < 0.5] = 0.0  # reducible
+        if trial % 4 == 3:
+            off[:] = 0.0  # diagonal
+        got = _lowest_eigenvalue(main, off * off)
+        scale = np.abs(main).max() + 2.0 * np.abs(off).max(initial=0.0)
+        assert abs(got - _eigvalsh_lowest(main, off)) <= 1e-14 * scale, (main, off)
+
+
+def test_lowest_eigenvalue_ex1_closed_form():
+    n = 10_000
+    got = _lowest_eigenvalue(np.full(n, 7.0), np.full(n - 1, 4.0))
+    assert got == pytest.approx(7.0 - 4.0 * np.cos(np.pi / (n + 1)), rel=1e-12)
 
 
 # ------------------------------------------------------------- spectral

@@ -241,6 +241,21 @@ def test_ex1_diagnostics_match_closed_form(n, no_dense_tridiagonal):
     assert not any("estimate" in note for note in d.notes)
 
 
+def test_symmetric_tridiagonal_diagnostics_bisect_once(monkeypatch):
+    # sigma_min and lambda_min of a symmetric M-matrix are the same value
+    calls = []
+    inner = mclass._lowest_eigenvalue
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(mclass, "_lowest_eigenvalue", counted)
+    d = diagnostics(gen_example1(50).a)
+    assert len(calls) == 1
+    assert d.norm_a_inv == d.rho_abs_a_inv == pytest.approx(_ex1_inverse_norm(50), rel=1e-12)
+
+
 def _uncoupled_path_laplacians(n):
     """I + two path Laplacians with no coupling: A - I is a singular,
     reducible Z-matrix."""
