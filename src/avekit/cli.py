@@ -211,6 +211,7 @@ def cmd_classify(args) -> int:
         print(f"v.b: {verdict.v_dot_b:.10g}")
     if rep.norm_a_inv is not None:
         print(f"||A^-1||: {rep.norm_a_inv:.6g}")
+    if rep.rho_abs_a_inv is not None:
         print(f"rho(|A^-1|): {rep.rho_abs_a_inv:.6g}")
     for note in rep.notes:
         print(f"note: {note}")

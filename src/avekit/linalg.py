@@ -15,9 +15,10 @@ tridiagonal matrix that is not symmetric positive definite (for
 
 One rule decides singularity for every partial-pivoting LU, dense
 (:func:`lu_factor`), over sign patterns (:func:`pattern_singular_flags`)
-or tridiagonal (:func:`tridiag_factor`): a matrix is singular when it is
-zero or when a pivot magnitude falls below ``rank_tol`` times its largest
-entry magnitude.  :func:`lu_factor` and :func:`pattern_singular_flags`
+or tridiagonal (:func:`tridiag_singular` and :func:`tridiag_solve`, one
+elimination): a matrix is singular when it is zero or when a pivot
+magnitude falls below ``rank_tol`` times its largest entry magnitude.
+:func:`lu_factor` and :func:`pattern_singular_flags`
 pick getrf's pivot rows but round as their own loops do (the first is
 blocked, the second is not, and getrf scales by the reciprocal pivot),
 so they and getrf can differ only on a matrix with a pivot within
@@ -327,76 +328,60 @@ def tridiag_pivots(t: TridiagonalMatrix, floor: float) -> np.ndarray:
     return np.array(pivots)
 
 
-@dataclass(frozen=True)
-class TridiagonalLu:
-    """LU factorization with partial pivoting of a tridiagonal matrix, in
-    the layout of LAPACK gttrf.
+def _tridiag_eliminate(t: TridiagonalMatrix, rhs: list[float], rank_tol: float):
+    """Partial-pivoting elimination of a tridiagonal matrix in O(n), in the
+    order of LAPACK gtsv: each row operation is applied to the list
+    ``rhs`` (of length at least n) in place as it is made.
 
     Step i eliminates the subdiagonal entry of column i with row i or row
     i + 1 as pivot row, whichever has the larger entry in that column (row
     i on a tie), which are the row choices of getrf on the dense matrix.
-    ``swapped[i]`` records the interchange and ``multipliers[i]`` the
-    multiplier of step i.  U has the diagonal ``pivots`` and two
-    superdiagonals, ``sup`` and the fill ``sup2``, each padded with zeros to
-    length n.  ``singular`` follows the singularity rule of this module.
+    Returns U's diagonal ``pivots`` and its two superdiagonals, ``sup`` and
+    the fill ``sup2``, each padded with zeros to length n, and whether the
+    matrix is singular by the rule of this module.
     """
-
-    multipliers: list[float]
-    swapped: list[bool]
-    pivots: list[float]
-    sup: list[float]
-    sup2: list[float]
-    singular: bool
-
-
-def tridiag_factor(t: TridiagonalMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> TridiagonalLu:
-    """Partial-pivoting LU of a tridiagonal matrix in O(n) time and memory,
-    flagging singularity instead of raising."""
-    n = t.n
-    multipliers = [0.0] * (n - 1)
-    swapped = [False] * (n - 1)
     pivots = t.main.tolist()
     sup = t.sup.tolist() + [0.0]
-    sup2 = [0.0] * n
+    sup2 = [0.0] * t.n
     for i, low in enumerate(t.sub.tolist()):
         p = pivots[i]
         if abs(p) >= abs(low):
             if p != 0.0:
                 f = low / p
-                multipliers[i] = f
                 pivots[i + 1] -= f * sup[i]
+                rhs[i + 1] -= f * rhs[i]
         else:
             f = p / low
-            multipliers[i] = f
             pivots[i] = low
             sup[i], pivots[i + 1] = pivots[i + 1], sup[i] - f * pivots[i + 1]
             sup2[i] = sup[i + 1]
             sup[i + 1] = -f * sup[i + 1]
-            swapped[i] = True
+            rhs[i], rhs[i + 1] = rhs[i + 1], rhs[i] - f * rhs[i + 1]
     scale = np.abs(np.concatenate((t.sub, t.main, t.sup))).max()
     singular = bool(_singular(np.abs(np.array(pivots)), scale, rank_tol))
-    return TridiagonalLu(multipliers, swapped, pivots, sup, sup2, singular)
+    return pivots, sup, sup2, singular
+
+
+def tridiag_singular(t: TridiagonalMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
+    """Whether the partial-pivoting elimination of a tridiagonal matrix
+    flags it singular, in O(n) time and memory."""
+    return _tridiag_eliminate(t, [0.0] * t.n, rank_tol)[3]
 
 
 def tridiag_solve(t: TridiagonalMatrix, rhs) -> np.ndarray:
-    """Solve a tridiagonal system by :func:`tridiag_factor` in O(n); raises
-    SingularSystem when the factorization is flagged singular at
-    ``DEFAULT_RANK_TOL``."""
+    """Solve a tridiagonal system in one elimination and one back
+    substitution, O(n); raises SingularSystem when the elimination is
+    flagged singular at ``DEFAULT_RANK_TOL``."""
     b = np.asarray(rhs, dtype=float)
     n = t.n
     if b.shape != (n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
-    f = tridiag_factor(t)
-    if f.singular:
-        raise SingularSystem(f"matrix is singular to rank tolerance {DEFAULT_RANK_TOL:g}")
     x = b.tolist() + [0.0, 0.0]
-    for i, (m, s) in enumerate(zip(f.multipliers, f.swapped)):
-        if s:
-            x[i], x[i + 1] = x[i + 1], x[i] - m * x[i + 1]
-        else:
-            x[i + 1] -= m * x[i]
+    pivots, sup, sup2, singular = _tridiag_eliminate(t, x, DEFAULT_RANK_TOL)
+    if singular:
+        raise SingularSystem(f"matrix is singular to rank tolerance {DEFAULT_RANK_TOL:g}")
     for i in range(n - 1, -1, -1):
-        x[i] = (x[i] - f.sup[i] * x[i + 1] - f.sup2[i] * x[i + 2]) / f.pivots[i]
+        x[i] = (x[i] - sup[i] * x[i + 1] - sup2[i] * x[i + 2]) / pivots[i]
     return np.array(x[:n])
 
 

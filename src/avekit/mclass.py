@@ -37,8 +37,8 @@ from .linalg import (
     lu_factor,
     lu_nopivot,
     triangular_solve,
-    tridiag_factor,
     tridiag_pivots,
+    tridiag_singular,
 )
 
 
@@ -71,8 +71,10 @@ class ConditionReport:
     holds (unit max-entry normalization).  ``norm_a_inv`` and
     ``rho_abs_a_inv`` are the spectral norm of A^-1 and the Perron root of
     |A^-1|, both exact to rounding, and both None when A itself is
-    singular.  They are reported as diagnostics only and never decide a
-    certificate.
+    singular.  ``norm_a_inv`` is also None when sigma_min(A) is zero to
+    working precision; a nonsingular M-matrix A still has
+    ``rho_abs_a_inv`` = 1/lambda_min(A) then.  They are reported as
+    diagnostics only and never decide a certificate.
     """
 
     is_z: bool
@@ -232,7 +234,7 @@ class _Tridiagonal:
         return bool(np.all(np.abs(self.t.sub) > zero_tol) and np.all(np.abs(self.t.sup) > zero_tol))
 
     def singular(self, rank_tol: float) -> bool:
-        return tridiag_factor(self.t, rank_tol).singular
+        return tridiag_singular(self.t, rank_tol)
 
     def inverse(self, rank_tol: float) -> np.ndarray | None:
         """A^-1 as a dense matrix, or None when A is singular, which is
@@ -394,17 +396,24 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
     norm_a_inv = None
     rho_abs_a_inv = None
     # A = (A - I) + I is a nonsingular M-matrix whenever A - I is an
-    # M-matrix, singular or not, so only the other cases need a test
-    if s3a or s3b or _is_m(s, tols):
+    # M-matrix, singular or not, so only the other cases need a test; A
+    # has the off-diagonal entries of A - I, so it is a Z-matrix iff z
+    if s3a or s3b or (z and _eliminate(s, tols).all_positive):
         norm_a_inv = _reciprocal(s.sigma_min())
         # under (3b), lambda_min(A) = 1 + lambda_min(A - I) = 1
         rho_abs_a_inv = 1.0 if s3b else _reciprocal(s.lambda_min())
-    elif (inv := s.inverse(tols.rank_tol)) is not None:
-        norm_a_inv = _reciprocal(s.sigma_min())
-        # the Perron root of the nonnegative |A^-1| is its spectral radius
-        rho_abs_a_inv = float(np.abs(np.linalg.eigvals(np.abs(inv))).max())
-    if norm_a_inv is None:
-        rho_abs_a_inv = None
-        notes.append("A is singular; inverse-based diagnostics unavailable")
+        if norm_a_inv is None:
+            notes.append(
+                "A is a nonsingular M-matrix whose ||A^-1||_2 is beyond "
+                "working precision"
+            )
+    else:
+        if (inv := s.inverse(tols.rank_tol)) is not None:
+            norm_a_inv = _reciprocal(s.sigma_min())
+            # the Perron root of the nonnegative |A^-1| is its spectral radius
+            rho_abs_a_inv = float(np.abs(np.linalg.eigvals(np.abs(inv))).max())
+        if norm_a_inv is None:
+            rho_abs_a_inv = None
+            notes.append("A is singular; inverse-based diagnostics unavailable")
 
     return ConditionReport(z, s3a, s3b, v, norm_a_inv, rho_abs_a_inv, tuple(notes))

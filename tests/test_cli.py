@@ -157,6 +157,18 @@ def test_classify_unknown_verdict(tmp_path, capsys):
     assert "verdict: Unknown" in out
 
 
+def test_classify_prints_rho_without_the_norm(tmp_path, capsys):
+    # A = 2I - 10L is a nonsingular M-matrix whose ||A^-1||_2 overflows
+    # working precision; rho(|A^-1|) = 1/2 is still known
+    n = 24
+    a = 2.0 * np.eye(n) - 10.0 * np.eye(n, k=-1)
+    code, out, _ = run(capsys, "classify", write_problem(tmp_path, "m.ave", a, np.ones(n)))
+    assert code == 0
+    assert "||A^-1||:" not in out
+    assert "rho(|A^-1|): 0.5\n" in out
+    assert "A is singular" not in out
+
+
 def test_classify_entry_tol_is_a_usage_error(ex_files, capsys):
     with pytest.raises(SystemExit) as info:
         main(["classify", ex_files[5], "--entry-tol", "0.5"])

@@ -22,6 +22,7 @@ from avekit.linalg import (
     spectral_norm,
     spectral_radius_nonneg,
     tridiag_pivots,
+    tridiag_singular,
     tridiag_solve,
 )
 from avekit.mclass import _lowest_eigenvalue
@@ -365,7 +366,8 @@ def test_tridiag_agrees_with_dense_solver():
         denom = max(np.abs(x_dense).max(), 1.0)
         assert np.abs(x_fast - x_dense).max() / denom < 1e-10
     # small-integer matrices, about a third singular and many needing row
-    # interchanges: the singular verdict is lu_factor's on every one
+    # interchanges: the singular verdict is lu_factor's on every one, at
+    # every rank tolerance
     singular = 0
     for _ in range(5000):
         n = int(rng.integers(1, 12))
@@ -373,6 +375,8 @@ def test_tridiag_agrees_with_dense_solver():
         b = rng.normal(size=n)
         f = lu_factor(t.to_dense())
         singular += f.singular
+        for tol in (0.0, 1e-10, 1e-6, 0.3):
+            assert tridiag_singular(t, tol) == lu_factor(t.to_dense(), tol).singular
         if f.singular:
             with pytest.raises(SingularSystem):
                 tridiag_solve(t, b)

@@ -301,6 +301,19 @@ def test_rho_abs_inverse_of_unit_triangular_m_matrix_is_one():
         assert not any("estimate" in note for note in d.notes)
 
 
+@pytest.mark.parametrize("banded", [False, True])
+@pytest.mark.parametrize("n", [24, 40])
+def test_m_matrix_with_inverse_beyond_working_precision_is_not_singular(n, banded):
+    # A = 2I - 10L, L the unit subdiagonal: A^-1 has entries 5^k / 2, so
+    # sigma_min(A) is below rounding, yet A - I is a nonsingular M-matrix
+    # and rho(|A^-1|) = 1 / lambda_min(A) = 1/2
+    a = TridiagonalMatrix(np.full(n - 1, -10.0), np.full(n, 2.0), np.zeros(n - 1))
+    d = diagnostics(a if banded else a.to_dense())
+    assert d.satisfies_3a
+    assert not any("A is singular" in note for note in d.notes)
+    assert d.rho_abs_a_inv == pytest.approx(0.5, abs=1e-12)
+
+
 def test_rho_abs_inverse_outside_m_matrices():
     # A^-1 <= 0 entrywise
     d = diagnostics(-np.array([[2.0, -1.0], [-1.0, 2.0]]))
