@@ -23,6 +23,13 @@ pick getrf's pivot rows but round as their own loops do (the first is
 blocked, the second is not, and getrf scales by the reciprocal pivot),
 so they and getrf can differ only on a matrix with a pivot within
 rounding of that threshold.
+
+A tridiagonal matrix whose every column is strictly diagonally dominant,
+by a margin above ``rank_tol`` times its largest entry, is solved by
+cyclic reduction in numpy; every other one by the gtsv-order
+partial-pivoting loop.  The rule never calls a dominant matrix singular,
+so the verdicts are those of the loop, except on a margin within rounding
+of the threshold, and the solutions agree with it to rounding.
 """
 
 from __future__ import annotations
@@ -362,6 +369,67 @@ def _tridiag_eliminate(t: TridiagonalMatrix, rhs: list[float], rank_tol: float):
     return pivots, sup, sup2, singular
 
 
+def _column_dominant(t: TridiagonalMatrix, rank_tol: float) -> bool:
+    """Whether every column j of ``t`` is strictly diagonally dominant by a
+    margin |main_j| - |sub_j| - |sup_{j-1}| above ``rank_tol`` times the
+    largest entry magnitude.
+
+    Partial pivoting then makes no row interchange, Schur complements keep
+    every column's margin, and so every pivot is at least the margin: the
+    elimination of :func:`_tridiag_eliminate` never flags such a matrix
+    singular at ``rank_tol``, up to rounding of the threshold.
+    """
+    sub = np.abs(t.sub)
+    sup = np.abs(t.sup)
+    margin = np.abs(t.main)
+    scale = max(margin.max(), sub.max(initial=0.0), sup.max(initial=0.0))
+    margin[:-1] -= sub
+    margin[1:] -= sup
+    return bool(margin.min() > rank_tol * scale)
+
+
+def _cyclic_reduction(t: TridiagonalMatrix, b: np.ndarray) -> np.ndarray:
+    """Solve t x = b by odd-even cyclic reduction (Buzbee, Golub &
+    Nielson, SIAM J. Numer. Anal. 7, 1970), without pivoting.
+
+    Each level eliminates the unknowns of the even rows from the odd rows,
+    which leaves a tridiagonal system of half the size, in a few numpy
+    passes; after floor(log2 n) levels one unknown is left, and the levels
+    are unwound in reverse, each even unknown from its two odd neighbours.
+    This is Gaussian elimination without pivoting on a symmetric
+    permutation of ``t``, so on a column diagonally dominant ``t`` its
+    growth factor is at most 2.  The levels take O(n) memory in all.
+    """
+    a = np.concatenate(([0.0], t.sub))  # a[i]: entry (i, i - 1)
+    d = t.main
+    c = np.concatenate((t.sup, [0.0]))  # c[i]: entry (i, i + 1)
+    y = b
+    levels = []
+    while len(d) > 1:
+        levels.append((a, d, c, y))
+        if len(d) % 2 == 0:
+            # an identity row after the last, so every odd row i has a row
+            # i + 1; the last row's c is 0, so the identity row adds nothing
+            a, d, c, y = (np.append(v, pad) for v, pad in ((a, 0.0), (d, 1.0), (c, 0.0), (y, 0.0)))
+        alpha = -a[1::2] / d[:-1:2]
+        gamma = -c[1::2] / d[2::2]
+        a, d, c, y = (
+            alpha * a[:-1:2],
+            d[1::2] + alpha * c[:-1:2] + gamma * a[2::2],
+            gamma * c[2::2],
+            y[1::2] + alpha * y[:-1:2] + gamma * y[2::2],
+        )
+    x = y / d
+    for a, d, c, y in reversed(levels):
+        # the odd unknowns with x_{-1} = x_m = 0 on either side
+        odd = np.concatenate(([0.0], x, [0.0]))
+        even = len(d) - len(x)
+        x = np.empty(len(d))
+        x[1::2] = odd[1:-1]
+        x[::2] = (y[::2] - a[::2] * odd[:even] - c[::2] * odd[1 : even + 1]) / d[::2]
+    return x
+
+
 def tridiag_singular(t: TridiagonalMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
     """Whether the partial-pivoting elimination of a tridiagonal matrix
     flags it singular, in O(n) time and memory."""
@@ -369,13 +437,21 @@ def tridiag_singular(t: TridiagonalMatrix, rank_tol: float = DEFAULT_RANK_TOL) -
 
 
 def tridiag_solve(t: TridiagonalMatrix, rhs) -> np.ndarray:
-    """Solve a tridiagonal system in one elimination and one back
-    substitution, O(n); raises SingularSystem when the elimination is
-    flagged singular at ``DEFAULT_RANK_TOL``."""
+    """Solve a tridiagonal system in O(n); raises SingularSystem when the
+    partial-pivoting elimination flags it singular at ``DEFAULT_RANK_TOL``.
+
+    A column diagonally dominant matrix (see :func:`_column_dominant`) is
+    not flagged, up to rounding of the threshold, and is solved by cyclic
+    reduction in floor(log2 n) levels of numpy passes.  Every other matrix takes one elimination in the order of
+    LAPACK gtsv and one back substitution, a Python loop over the rows.
+    The two agree to rounding, not bit for bit.
+    """
     b = np.asarray(rhs, dtype=float)
     n = t.n
     if b.shape != (n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
+    if _column_dominant(t, DEFAULT_RANK_TOL):
+        return _cyclic_reduction(t, b)
     x = b.tolist() + [0.0, 0.0]
     pivots, sup, sup2, singular = _tridiag_eliminate(t, x, DEFAULT_RANK_TOL)
     if singular:

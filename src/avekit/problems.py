@@ -172,8 +172,10 @@ def convert_max_form(t, c) -> tuple[AveProblem, str]:
     return AveProblem(a, b), note
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt_line(values: np.ndarray) -> str:
+    """The entries of ``values`` in ``.17g`` form, separated by spaces, by
+    one formatting operation."""
+    return " ".join(["%.17g"] * len(values)) % tuple(values.tolist())
 
 
 def save(target, p: AveProblem, metadata: dict[str, str] | None = None) -> None:
@@ -187,17 +189,17 @@ def save(target, p: AveProblem, metadata: dict[str, str] | None = None) -> None:
     ]
     if p.is_tridiagonal:
         lines.append("A.sub")
-        lines.append(" ".join(_fmt(x) for x in p.a.sub))
+        lines.append(_fmt_line(p.a.sub))
         lines.append("A.main")
-        lines.append(" ".join(_fmt(x) for x in p.a.main))
+        lines.append(_fmt_line(p.a.main))
         lines.append("A.super")
-        lines.append(" ".join(_fmt(x) for x in p.a.sup))
+        lines.append(_fmt_line(p.a.sup))
     else:
         lines.append("A")
         for row in p.a:
-            lines.append(" ".join(_fmt(x) for x in row))
+            lines.append(_fmt_line(row))
     lines.append("b")
-    lines.append(" ".join(_fmt(x) for x in p.b))
+    lines.append(_fmt_line(p.b))
     for key, value in (metadata or {}).items():
         lines.append(f"meta {key} {value}")
     text = "\n".join(lines) + "\n"

@@ -97,7 +97,11 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     with partial pivoting, dense or O(n) tridiagonal as ``p.a`` is stored,
     and both decide a singular step by the singularity rule of
     :mod:`avekit.linalg` at ``DEFAULT_RANK_TOL``, so the two storages stop
-    at the same step.
+    at the same step, except on a step within rounding of that threshold.
+    A column diagonally dominant tridiagonal step, as every step of the ex1
+    family is, is solved by cyclic reduction instead: the rule never calls
+    it singular, up to rounding of the threshold, and its solution agrees
+    with the pivoting loop's to rounding.
     """
     x = cfg.x0 if cfg.x0 is not None else np.ones(p.n)
     x = np.asarray(x, dtype=float)

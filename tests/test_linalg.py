@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+from avekit import linalg
 from avekit.errors import SingularSystem
 from avekit.linalg import (
     DEFAULT_RANK_TOL,
@@ -26,7 +27,8 @@ from avekit.linalg import (
     tridiag_solve,
 )
 from avekit.mclass import _lowest_eigenvalue
-from avekit.problems import gen_random_3a
+from avekit.problems import gen_example1, gen_random_3a
+from avekit.solver import SolveStatus, gnm_solve
 from left_kernel import null_space_left
 
 
@@ -385,6 +387,72 @@ def test_tridiag_agrees_with_dense_solver():
             denom = max(np.abs(x_dense).max(), 1.0)
             assert np.abs(tridiag_solve(t, b) - x_dense).max() / denom < 1e-12
     assert 1000 < singular < 2500
+
+
+def _column_dominant_case(rng, n):
+    """A random tridiagonal matrix whose every column has its diagonal
+    entry 1.01 to 2 times the sum of its off-diagonal magnitudes (plus
+    0.001), with a random sign."""
+    sub = rng.normal(size=n - 1)
+    sup = rng.normal(size=n - 1)
+    off = np.abs(np.append(sub, 0.0)) + np.abs(np.insert(sup, 0, 0.0))
+    main = (off * rng.uniform(1.01, 2.0, n) + 1e-3) * rng.choice([-1.0, 1.0], n)
+    return TridiagonalMatrix(sub, main, sup)
+
+
+_CR_SIZES = list(range(1, 71)) + [m for k in range(7, 13) for m in (2**k - 1, 2**k, 2**k + 1)]
+
+
+def test_cyclic_reduction_matches_pivoting_loop(monkeypatch):
+    rng = np.random.default_rng(16)
+    cases = [(_column_dominant_case(rng, n), rng.normal(size=n)) for n in _CR_SIZES for _ in range(3)]
+    assert all(linalg._column_dominant(t, DEFAULT_RANK_TOL) for t, _ in cases)
+    fast = [tridiag_solve(t, b) for t, b in cases]
+    # the same calls with every matrix sent through the pivoting loop
+    monkeypatch.setattr(linalg, "_column_dominant", lambda t, rank_tol: False)
+    for (t, b), x in zip(cases, fast):
+        x_loop = tridiag_solve(t, b)
+        assert np.abs(x - x_loop).max() <= 1e-13 * np.abs(x_loop).max(), t.n
+
+
+def test_cyclic_reduction_at_extreme_scales():
+    # entries near the ends of the float range, and multipliers whose
+    # products underflow to zero within a few levels: no RuntimeWarning
+    # (warnings are errors in this suite) and a residual at rounding level
+    n = 1000
+    rng = np.random.default_rng(5)
+    b = rng.normal(size=n)
+    for scale, off in ((1e300, 0.4), (1e-300, 0.4), (1.0, 1e-200)):
+        t = TridiagonalMatrix(np.full(n - 1, off * scale), np.full(n, scale), np.full(n - 1, -off * scale))
+        assert linalg._column_dominant(t, DEFAULT_RANK_TOL)
+        x = tridiag_solve(t, b * scale)
+        assert np.abs(t.matvec(x) - b * scale).max() <= 1e-14 * scale * np.abs(x).max()
+
+
+def test_dominant_steps_skip_the_pivoting_loop(monkeypatch):
+    def eliminate(*args):
+        raise AssertionError("pivoting loop reached")
+
+    monkeypatch.setattr(linalg, "_tridiag_eliminate", eliminate)
+    # every ex1 step matrix tridiag(-2, 7 -+ 1, -2) is column dominant
+    p = gen_example1(200)
+    assert gnm_solve(p).status is SolveStatus.CONVERGED
+    # [[0, 1], [1, 0]] is not, and still takes the loop
+    swap = TridiagonalMatrix([1.0], [0.0, 0.0], [1.0])
+    with pytest.raises(AssertionError, match="pivoting loop reached"):
+        tridiag_solve(swap, [1.0, 2.0])
+
+
+def test_column_dominance_needs_a_margin_above_rank_tol():
+    # a column of tridiag(-1, 2, -1) has margin 0: the loop decides it
+    assert not linalg._column_dominant(TridiagonalMatrix([-1.0] * 2, [2.0] * 3, [-1.0] * 2), 0.0)
+    t = TridiagonalMatrix([-1.0], [2.0, 2.0], [-1.0])  # margins 1, scale 2
+    assert linalg._column_dominant(t, 0.49)
+    assert not linalg._column_dominant(t, 0.5)
+    assert not linalg._column_dominant(TridiagonalMatrix([], [0.0], []), 0.0)
+    # columns, not rows: [[1, 0.5], [0.9, 0.6]] and its transpose
+    assert linalg._column_dominant(TridiagonalMatrix([0.9], [1.0, 0.6], [0.5]), 0.0)
+    assert not linalg._column_dominant(TridiagonalMatrix([0.5], [1.0, 0.6], [0.9]), 0.0)
 
 
 def test_tridiag_matvec_matches_dense():

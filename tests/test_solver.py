@@ -77,6 +77,24 @@ def test_repeated_sign_pattern_stops_the_run():
     assert np.abs(rep.x - xstar).max() <= 1e-9
 
 
+# ex1 sizes whose default-tol run takes 3 steps; every other size in
+# 2..200 and the Table 1 sizes take 2, and all end Converged.  Recorded
+# with the gtsv-order pivoting loop on every step, before cyclic reduction
+# took the dominant steps.
+_EX1_THREE_STEPS = {
+    8, 14, 20, 26, 32, 38, 44, 50, 56, 62, 68, 74, 80, 86, 92, 98, 104, 110, 116, 117, 122,
+    123, 128, 129, 134, 135, 140, 141, 146, 147, 152, 153, 158, 159, 164, 165, 170, 171,
+    176, 177, 182, 183, 188, 189, 194, 195, 200, 2000, 8000,
+}
+
+
+def test_ex1_status_and_iterations_are_pinned():
+    for n in [*range(2, 201), 2000, 4000, 6000, 8000, 10_000]:
+        rep = gnm_solve(gen_example1(n))
+        want = (SolveStatus.CONVERGED, 3 if n in _EX1_THREE_STEPS else 2)
+        assert (rep.status, rep.iterations) == want, n
+
+
 def test_max_iter_override():
     p = AveProblem(np.array([[0.1]]), np.array([1.0]))
     rep = gnm_solve(p, SolverConfig(max_iter=1, x0=np.array([1.0])))
