@@ -56,9 +56,6 @@ class SignDiagonal:
     def is_identity(self) -> bool:
         return bool(np.all(self.diag == 1))
 
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diag.astype(float))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignDiagonal):
             return NotImplemented

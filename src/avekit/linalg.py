@@ -2,8 +2,8 @@
 
 Every kernel here is written out in numpy: the blocked LU, with partial
 pivoting (:func:`lu_factor`) or without (:func:`lu_nopivot`), and its
-blocked substitutions, the O(n) tridiagonal recurrences, the
-shared-prefix elimination of ``A - diag(s)`` over sign patterns, power
+blocked substitutions, the O(n) tridiagonal recurrences, the shared-prefix
+elimination and solve of ``A - diag(s)`` over sign patterns, power
 iterations and the irreducibility check.  Their exact behavior
 (tolerances, flags, pivot rows, stopping points, deterministic starting
 vectors) is part of the library contract, and the module never imports
@@ -14,11 +14,11 @@ tridiagonal matrix that is not symmetric positive definite (for
 ``eigvals_banded``) load scipy.
 
 One rule decides singularity for every partial-pivoting LU, dense
-(:func:`lu_factor`), over sign patterns (:func:`pattern_singular_flags`)
-or tridiagonal (:func:`tridiag_singular` and :func:`tridiag_solve`, one
-elimination): a matrix is singular when it is zero or when a pivot
-magnitude falls below ``rank_tol`` times its largest entry magnitude.
-:func:`lu_factor` and :func:`pattern_singular_flags`
+(:func:`lu_factor`), over sign patterns (:func:`pattern_solve`, which
+also solves the nonsingular ones) or tridiagonal (:func:`tridiag_singular`
+and :func:`tridiag_solve`, one elimination): a matrix is singular when it
+is zero or when a pivot magnitude falls below ``rank_tol`` times its
+largest entry magnitude.  :func:`lu_factor` and :func:`pattern_solve`
 pick getrf's pivot rows but round as their own loops do (the first is
 blocked, the second is not, and getrf scales by the reciprocal pivot),
 so they and getrf can differ only on a matrix with a pivot within
@@ -178,38 +178,46 @@ def lu_factor(m, rank_tol: float = DEFAULT_RANK_TOL) -> LuFactorization:
     return LuFactorization(_freeze(packed), _freeze(perm), singular, rank_tol)
 
 
-def pattern_singular_flags(m, rank_tol: float, start: int, stop: int) -> np.ndarray:
+def pattern_solve(m, rhs, rank_tol: float, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
     """``lu_factor(m - diag(s), rank_tol).singular`` for the sign patterns s
-    numbered start..stop-1 in ``itertools.product((-1, 1), repeat=n)`` order.
+    numbered start..stop-1 in ``itertools.product((-1, 1), repeat=n)``
+    order, and the solutions of (m - diag(s)) x = rhs for the nonsingular
+    ones, a row each in pattern order.
 
     Step k of partial-pivoting LU reads only s_0..s_k, so each shared
     prefix is eliminated once.  A node of the prefix tree holds the
     trailing matrix after k steps with two copies of every column j not yet
-    decided, for s_j = -1 and s_j = +1, since only column j depends on s_j.
-    Branching on s_k picks column k's copy, takes its first largest
-    magnitude as pivot (the row getrf picks), updates both copies of the
-    other columns with the same multipliers and carries the least pivot
-    magnitude and the largest entry magnitude of the prefix, which each
-    pattern then passes to the singularity rule.  The deepest levels hold
-    about 100 bytes a pattern.
+    decided, for s_j = -1 and s_j = +1, since only column j depends on s_j,
+    and ``rhs`` as one more column.  Branching on s_k picks column k's
+    copy, takes its first largest magnitude as pivot (the row getrf picks),
+    updates every other column with the same multipliers, keeps the pivot
+    and the pivot row, and carries the least pivot magnitude and the
+    largest entry magnitude of the prefix, which each pattern then passes
+    to the singularity rule.  Back-substitution runs from the last level
+    up, one gather of pivots and pivot-row entries per level.
     """
     a = _square(m)
     n = a.shape[0]
+    b = np.asarray(rhs, dtype=float)
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
     if not 0 <= start < stop <= 2**n:
         raise ValueError(f"pattern range [{start}, {stop}) is not within [0, 2^{n})")
     d = np.diagonal(a)
     signs = np.array([-1.0, 1.0])
-    # t[node, row, c, j]: column j of the trailing matrix with s_j = signs[c]
-    t = np.repeat(a[None, :, None, :], 2, axis=2)
-    t[0, np.arange(n), :, np.arange(n)] -= signs
+    # t[node, row, j, c]: column j of the trailing matrix with s_j = signs[c],
+    # and the right-hand side as column n of both copies
+    t = np.repeat(np.column_stack([a, b])[None, :, :, None], 2, axis=3)
+    t[0, np.arange(n), np.arange(n)] -= signs
     scale = np.array([np.abs(a - np.diag(d)).max()])
     least = np.array([np.inf])
+    levels = []
     for k in range(n):
         shift = n - 1 - k
         # both children of every node, trimmed to the prefixes of the range
         keep = slice((start >> shift) & 1, 2 * len(t) - 1 + (((stop - 1) >> shift) & 1))
-        col = t[:, :, :, 0].transpose(0, 2, 1).reshape(-1, n - k)[keep]
-        t = np.repeat(t[:, :, :, 1:], 2, axis=0)[keep]
+        col = t[:, :, 0].transpose(0, 2, 1).reshape(-1, n - k)[keep]
+        t = np.repeat(t[:, :, 1:], 2, axis=0)[keep]
         scale = np.maximum(scale[:, None], np.abs(d[k] - signs)).ravel()[keep]
         rows = np.arange(len(col))
         i = np.argmax(np.abs(col), axis=1)
@@ -222,7 +230,25 @@ def pattern_singular_flags(m, rank_tol: float, start: int, stop: int) -> np.ndar
         col[rows, i] = col[:, 0]
         mult = col[:, 1:] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
         t = t[:, 1:] - mult[:, :, None, None] * top[:, None]
-    return _singular(least[:, None], scale, rank_tol)
+        levels.append((pivot, top.reshape(len(top), -1)))
+    singular = _singular(least[:, None], scale, rank_tol)
+    p = np.arange(start, stop)[~singular]
+    x = np.empty((len(p), n))
+    # off[:, j] = 2 j + (1 if s_j = 1): the pattern's copy of column j,
+    # which the pivot row of level k holds at off[:, j] - 2 (k + 1)
+    off = np.empty((len(p), n), np.int8)
+    for k in range(n - 1, -1, -1):
+        pivot, top = levels.pop()
+        prefix = p >> (n - 1 - k)
+        node = prefix - (start >> (n - 1 - k))
+        dot = np.einsum(
+            "ij,ij->i",
+            np.take(top, off[:, k + 1 :] + (top.shape[1] * node - 2 * k - 2)[:, None]),
+            x[:, k + 1 :],
+        )
+        x[:, k] = (np.take(top[:, -1], node) - dot) / np.take(pivot, node)
+        off[:, k] = 2 * k + (prefix & 1)
+    return singular, x
 
 
 def _lu_solve(f: LuFactorization, rhs: np.ndarray) -> np.ndarray:

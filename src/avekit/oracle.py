@@ -7,11 +7,11 @@ sign choice because diag(s) x = |x| is unaffected by zeros, so the
 This is deliberately brute force; the problem family is NP-hard in
 general, and the point here is an independent verifier, not scale.
 
-Singular patterns are found by one elimination over the prefix tree of
-the patterns (:func:`avekit.linalg.pattern_singular_flags`), the others
-are solved in stacked numpy calls, so the enumeration runs on numpy
-alone; only a singular branch with a kernel of dimension 2 or more loads
-scipy, for ``linprog``.
+One elimination over the prefix tree of the patterns
+(:func:`avekit.linalg.pattern_solve`) flags the singular patterns and
+solves the others, and the singular ones go through a stacked SVD, so the
+enumeration runs on numpy alone; only a singular branch with a kernel of
+dimension 2 or more loads scipy, for ``linprog``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import AveProblem, residual
 from .errors import DimensionTooLarge
-from .linalg import DEFAULT_RANK_TOL, pattern_singular_flags
+from .linalg import DEFAULT_RANK_TOL, pattern_solve
 
 MAX_ENUMERATION_N = 20
 DEFAULT_VERIFY_TOL = 1e-8
@@ -32,10 +32,11 @@ DEFAULT_DEDUP_TOL = 1e-10
 # one-dimensional consistency test; linprog (HiGHS) likewise drops
 # constraint coefficients below 1e-9.
 KERNEL_ZERO_TOL = 1e-9
-# Bytes of working arrays handled at once: the step matrices A - diag(s)
-# of a chunk (8 n^2 bytes a pattern), of which the stacked solve and SVD
-# hold a few copies, or a batch of the shared-prefix elimination, about
-# 100 bytes a pattern (budgeted as 128).  Memory stays flat in n.
+# Bytes of working arrays handled at once: the singular step matrices
+# A - diag(s) of a chunk (8 n^2 bytes a pattern), of which the stacked SVD
+# holds a few copies, or a batch of the shared-prefix solve, whose widest
+# level holds the solutions, the gathered pivot-row entries and their
+# indices, 24 n bytes a pattern.  Memory stays flat in n.
 CHUNK_BYTES = 1 << 18
 
 
@@ -86,13 +87,6 @@ class SolutionCount:
     count: int | None = None
 
 
-def _check_size(n: int) -> None:
-    if n > MAX_ENUMERATION_N:
-        raise DimensionTooLarge(
-            f"enumeration is capped at n = {MAX_ENUMERATION_N}, got n = {n}"
-        )
-
-
 def _sign_consistent_affine(
     x0: np.ndarray, kernel: np.ndarray, s: np.ndarray, tol: float
 ) -> bool:
@@ -141,73 +135,66 @@ def enumerate_solutions(p: AveProblem, verify_tol: float = DEFAULT_VERIFY_TOL) -
     residual verify_tol * ||b|| and contains a sign-consistent point.
 
     Patterns run in ``itertools.product((-1, 1), repeat=n)`` order.  A
-    batch of them gets its singularity flags from one shared-prefix
-    elimination, then goes in chunks of at most CHUNK_BYTES of step
-    matrices through a stacked solve and a stacked SVD; solutions and
-    branches keep that order.
+    batch of them gets its singularity flags and the solutions of its
+    nonsingular patterns from one shared-prefix elimination; step matrices
+    are built only for its singular patterns, which go in chunks of at
+    most CHUNK_BYTES through a stacked SVD.  Solutions and branches keep
+    that order.
 
     Raises DimensionTooLarge above n = 20, and ValueError when verify_tol
     is negative or not finite.
     """
     if not 0.0 <= verify_tol < np.inf:
         raise ValueError(f"verify_tol must be finite and nonnegative, got {verify_tol}")
-    _check_size(p.n)
+    if p.n > MAX_ENUMERATION_N:
+        raise DimensionTooLarge(f"enumeration is capped at n = {MAX_ENUMERATION_N}, got n = {p.n}")
     a = p.dense_a()
     b = p.b
     n = p.n
     bnorm = float(np.linalg.norm(b))
     per_chunk = max(1, CHUNK_BYTES // (8 * n * n))
-    per_batch = per_chunk * max(1, CHUNK_BYTES // (128 * per_chunk))
-    diag = np.arange(n)
+    per_batch = max(1, CHUNK_BYTES // (24 * n))
 
     isolated: list[np.ndarray] = []
     branches: list[SingularBranch] = []
     for first in range(0, 2**n, per_batch):
         last = min(first + per_batch, 2**n)
-        flags = pattern_singular_flags(a, DEFAULT_RANK_TOL, first, last)
-        for start in range(first, last, per_chunk):
-            stop = min(start + per_chunk, last)
-            s = _patterns(n, start, stop)
-            m = np.repeat(a[None], s.shape[0], axis=0)  # the stack A - diag(s)
-            m[:, diag, diag] -= s
-            singular = flags[start - first : stop - first]
-            ok = ~singular
-            xs = np.linalg.solve(m[ok], b)
-            for x in xs[~np.any(s[ok] * xs < -DEFAULT_DEDUP_TOL, axis=1)]:
-                if residual(p, x)[1] > verify_tol:
-                    continue
-                if not any(np.max(np.abs(x - y)) <= DEFAULT_DEDUP_TOL for y in isolated):
-                    isolated.append(x)
-            branches += _probe_singular(m[singular], b, s[singular], verify_tol * bnorm)
+        singular, xs = pattern_solve(a, b, DEFAULT_RANK_TOL, first, last)
+        numbers = np.arange(first, last)
+        xs = xs[~np.any(_patterns(n, numbers[~singular]) * xs < -DEFAULT_DEDUP_TOL, axis=1)]
+        for x in xs:
+            if residual(p, x)[1] > verify_tol:
+                continue
+            if not any(np.max(np.abs(x - y)) <= DEFAULT_DEDUP_TOL for y in isolated):
+                isolated.append(x)
+        s = _patterns(n, numbers[singular])
+        for start in range(0, len(s), per_chunk):
+            branches += _probe_singular(a, b, s[start : start + per_chunk], verify_tol * bnorm)
     return SolutionSet(tuple(isolated), tuple(branches), MAX_ENUMERATION_N)
 
 
-def _patterns(n: int, start: int, stop: int) -> np.ndarray:
-    """Sign patterns start..stop-1 as rows: the bits of k, most significant
-    first, with -1 for a 0 bit (``itertools.product`` order)."""
-    bits = (np.arange(start, stop)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return 2.0 * bits - 1.0
+def _patterns(n: int, numbers: np.ndarray) -> np.ndarray:
+    """The sign patterns numbered ``numbers`` as rows: the bits, most
+    significant first, with -1 for a 0 bit (``itertools.product`` order)."""
+    return np.where((numbers[:, None] >> np.arange(n - 1, -1, -1)) & 1, 1.0, -1.0)
 
 
 def _probe_singular(
-    m: np.ndarray, b: np.ndarray, s: np.ndarray, range_tol: float
+    a: np.ndarray, b: np.ndarray, s: np.ndarray, range_tol: float
 ) -> list[SingularBranch]:
-    """Branches of the singular stack m, whose patterns are the rows of s,
-    from one stacked SVD: the least-squares x0 (with the cutoff of
+    """Branches of the singular step matrices A - diag(s), one for each row
+    of s, from one stacked SVD: the least-squares x0 (with the cutoff of
     ``lstsq(rcond=None)``), its residual, and the kernel basis."""
-    if len(m) == 0:
-        return []  # most chunks have no singular pattern; skip the SVD call
+    m = a - s[:, :, None] * np.eye(len(a))
     u, sv, vt = np.linalg.svd(m)
     keep = sv > np.finfo(float).eps * m.shape[1] * sv[:, :1]
     coef = np.where(keep, np.einsum("kji,j->ki", u, b) / np.where(keep, sv, 1.0), 0.0)
     x0 = np.einsum("kji,kj->ki", vt, coef)
     ls_residual = np.linalg.norm(np.einsum("kij,kj->ki", m, x0) - b, axis=1)
     out = []
-    for k, (pattern, in_range) in enumerate(
-        zip(s.astype(int).tolist(), (ls_residual <= range_tol).tolist())
-    ):
+    for k, pattern in enumerate(s.astype(int).tolist()):
         consistent = False
-        if in_range:
+        if ls_residual[k] <= range_tol:
             kernel = vt[k][sv[k] <= DEFAULT_RANK_TOL * sv[k, 0]].T
             consistent = _sign_consistent_affine(x0[k], kernel, s[k], DEFAULT_DEDUP_TOL)
         out.append(SingularBranch(tuple(pattern), consistent))

@@ -1,5 +1,6 @@
 """Linear-algebra kernels against closed forms and brute-force oracles."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from avekit.linalg import (
     is_irreducible,
     lu_factor,
     lu_nopivot,
-    pattern_singular_flags,
+    pattern_solve,
     solve,
     spectral_norm,
     spectral_radius_nonneg,
@@ -27,7 +28,7 @@ from avekit.linalg import (
     tridiag_solve,
 )
 from avekit.mclass import _lowest_eigenvalue
-from avekit.problems import gen_example1, gen_random_3a
+from avekit.problems import gen_example1, gen_random_3a, gen_random_3b
 from avekit.solver import SolveStatus, gnm_solve
 from left_kernel import null_space_left
 
@@ -162,10 +163,16 @@ def _small_integer_ranges():
         yield a, start, stop
 
 
-def test_pattern_singular_flags_match_lu_factor():
+def _flags(a, start, stop):
+    """The singularity flags of pattern_solve, against a right-hand side
+    of ones."""
+    return pattern_solve(a, np.ones(a.shape[0]), DEFAULT_RANK_TOL, start, stop)[0]
+
+
+def test_pattern_solve_flags_match_lu_factor():
     total = singular = 0
     for a, start, stop in _small_integer_ranges():
-        got = pattern_singular_flags(a, DEFAULT_RANK_TOL, start, stop)
+        got = _flags(a, start, stop)
         expect = _lu_flags(a, range(start, stop))
         assert got.tolist() == expect, (a, start, stop)
         total += len(expect)
@@ -186,42 +193,73 @@ def test_lu_factor_flags_match_getrf():
     assert total > 20_000 and singular > 500
 
 
-def test_pattern_singular_flags_scalar_and_zero_step():
+def test_pattern_solve_flags_scalar_and_zero_step():
     # n = 1: a - s is zero, hence singular, exactly when a = s
     for a11, expect in ((1.0, [False, True]), (-1.0, [True, False]), (0.5, [False, False])):
-        assert pattern_singular_flags(np.array([[a11]]), DEFAULT_RANK_TOL, 0, 2).tolist() == expect
+        assert _flags(np.array([[a11]]), 0, 2).tolist() == expect
     # A = diag(1, -1, 1): pattern (+1, -1, +1), number 5, gives the zero
     # step matrix (scale 0); pattern (-1, +1, -1), number 2, is the only
     # nonsingular one
     a = np.diag([1.0, -1.0, 1.0])
-    got = pattern_singular_flags(a, DEFAULT_RANK_TOL, 0, 8).tolist()
+    got = _flags(a, 0, 8).tolist()
     assert got == _lu_flags(a, range(8))
     assert got == [True, True, False, True, True, True, True, True]
-    assert pattern_singular_flags(a, DEFAULT_RANK_TOL, 5, 6).tolist() == [True]
+    assert _flags(a, 5, 6).tolist() == [True]
     # the input is left as it was
     assert np.array_equal(a, np.diag([1.0, -1.0, 1.0]))
 
 
-def test_pattern_singular_flags_rand3a_16():
+def test_pattern_solve_flags_rand3a_16():
     # beyond the n <= 12 of the enumeration parity tests: all 2^16 flags
     # in two ranges that split a subtree, 2000 of them against lu_factor
     a = gen_random_3a(16, 3).dense_a()
     cut = 3 * 2**14 + 777
     flags = np.concatenate(
         [
-            pattern_singular_flags(a, DEFAULT_RANK_TOL, 0, cut),
-            pattern_singular_flags(a, DEFAULT_RANK_TOL, cut, 2**16),
+            _flags(a, 0, cut),
+            _flags(a, cut, 2**16),
         ]
     )
     sample = np.random.default_rng(3).choice(2**16, size=2000, replace=False)
     assert flags[sample].tolist() == _lu_flags(a, sample.tolist())
 
 
-def test_pattern_singular_flags_refuse_a_bad_range():
+def test_pattern_solve_refuses_a_bad_range():
     a = np.eye(3)
     for start, stop in ((0, 0), (4, 3), (-1, 2), (0, 9)):
         with pytest.raises(ValueError, match="pattern range"):
-            pattern_singular_flags(a, DEFAULT_RANK_TOL, start, stop)
+            pattern_solve(a, np.ones(3), DEFAULT_RANK_TOL, start, stop)
+    with pytest.raises(ValueError, match="right-hand side"):
+        pattern_solve(a, np.ones(2), DEFAULT_RANK_TOL, 0, 8)
+
+
+def _pattern_solve_cases():
+    """rand3a, rand3b and ex1 up to n = 10 over whole ranges and ranges
+    off subtree boundaries, then 600 small-integer matrices, whose ranges
+    mix singular and nonsingular patterns."""
+    for n in (4, 7, 10):
+        ranges = [(0, 2**n), (5, 2**n - 3), (2 ** (n - 1) - 1, 2 ** (n - 1) + 2)]
+        for p in (gen_random_3a(n, 30 + n), gen_random_3b(n, 40 + n), gen_example1(n)):
+            for start, stop in ranges:
+                yield p.dense_a(), p.b, start, stop
+    rng = np.random.default_rng(29)
+    for a, start, stop in itertools.islice(_small_integer_ranges(), 600):
+        yield a, rng.normal(size=a.shape[0]), start, stop
+
+
+def test_pattern_solve_matches_lu_factor_and_solve():
+    total = mixed = 0
+    for a, b, start, stop in _pattern_solve_cases():
+        singular, x = pattern_solve(a, b, DEFAULT_RANK_TOL, start, stop)
+        factors = [lu_factor(m) for m in _step_matrices(a, range(start, stop))]
+        assert singular.tolist() == [f.singular for f in factors]
+        expect = [solve(f, b) for f in factors if not f.singular]
+        assert x.shape == (len(expect), a.shape[0])
+        for got, ref in zip(x, expect):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (a, b, start, stop)
+        total += len(expect)
+        mixed += 0 < len(expect) < stop - start
+    assert total > 5000 and mixed > 50
 
 
 def test_lu_nopivot_reconstructs_across_blocks():

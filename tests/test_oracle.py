@@ -319,13 +319,13 @@ def test_enumeration_memory_is_bounded_by_the_chunk():
     # the full stack of step matrices at n = 16 is 2^16 * 16^2 doubles
     # (134 MB); the enumeration must hold only a few chunks of it
     n = 16
-    p = gen_random_3a(n, 9)
-    tracemalloc.start()
-    try:
-        sols = enumerate_solutions(p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(sols.isolated) == 1
-    assert peak <= 8 * oracle.CHUNK_BYTES
-    assert peak * 50 < 2**n * n * n * 8
+    for p in (gen_random_3a(n, 9), gen_random_3b(n, 3)):
+        tracemalloc.start()
+        try:
+            sols = enumerate_solutions(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sols.isolated) == 1
+        assert peak <= 8 * oracle.CHUNK_BYTES
+        assert peak * 50 < 2**n * n * n * 8
