@@ -70,49 +70,26 @@ def classify(p: AveProblem, tols: Tolerances = DEFAULT_TOLS) -> SolvabilityVerdi
     not cover.
     """
     report = diagnostics(p.a, tols)
+    verdict, basis, vb, witness = Verdict.UNKNOWN, VerdictBasis.NO_CERTIFICATE, None, None
 
     if report.satisfies_3a:
-        return SolvabilityVerdict(
-            Verdict.UNIQUE_SOLUTION,
-            VerdictBasis.CONDITION_3A,
-            None,
-            _solver_witness(p, report.v),
-            report,
-        )
-
-    if report.satisfies_3b and report.v is not None:
+        verdict, basis = Verdict.UNIQUE_SOLUTION, VerdictBasis.CONDITION_3A
+        witness = _solver_witness(p, report.v)
+    elif report.satisfies_3b and report.v is not None:
         v = report.v
         vb = float(v @ p.b)
         tie = TIE_TOL_REL * float(np.linalg.norm(v)) * float(np.linalg.norm(p.b))
         if vb < -tie:
-            return SolvabilityVerdict(
-                Verdict.UNIQUE_SOLUTION,
-                VerdictBasis.CONDITION_3B_NEG_VB,
-                vb,
-                _solver_witness(p, report.v),
-                report,
-            )
-        if vb > tie:
-            return SolvabilityVerdict(
-                Verdict.NO_SOLUTION, VerdictBasis.CONDITION_3B_POS_VB, vb, None, report
-            )
-        if is_symmetric(p.a, SYMMETRY_TOL_REL):
-            u = family_anchor(p)
-            return SolvabilityVerdict(
-                Verdict.EXISTS_NOT_UNIQUE,
-                VerdictBasis.CONDITION_3B_ZERO_VB_SYMMETRIC,
-                vb,
-                u,
-                report,
-            )
-        # v.b = 0 without symmetry is outside both certificates
-        return SolvabilityVerdict(
-            Verdict.UNKNOWN, VerdictBasis.NO_CERTIFICATE, vb, None, report
-        )
+            verdict, basis = Verdict.UNIQUE_SOLUTION, VerdictBasis.CONDITION_3B_NEG_VB
+            witness = _solver_witness(p, report.v)
+        elif vb > tie:
+            verdict, basis = Verdict.NO_SOLUTION, VerdictBasis.CONDITION_3B_POS_VB
+        elif is_symmetric(p.a, SYMMETRY_TOL_REL):
+            verdict, basis = Verdict.EXISTS_NOT_UNIQUE, VerdictBasis.CONDITION_3B_ZERO_VB_SYMMETRIC
+            witness = family_anchor(p)
+        # v.b = 0 without symmetry is outside both certificates: Unknown
 
-    return SolvabilityVerdict(
-        Verdict.UNKNOWN, VerdictBasis.NO_CERTIFICATE, None, None, report
-    )
+    return SolvabilityVerdict(verdict, basis, vb, witness, report)
 
 
 def family_anchor(p: AveProblem) -> np.ndarray:

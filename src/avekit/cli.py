@@ -6,6 +6,11 @@ Exit codes: 0 ok (solve: Converged or SignStabilized), 2 parse error,
 (argparse's own syntax failures exit 2).
 Every subcommand accepts --json for machine-readable output; numeric
 fields are emitted at full precision so they round-trip.
+
+Each ``cmd_*`` returns ``(exit_code, json_doc, text_lines)`` and prints
+nothing; ``main`` prints the document under --json, listing its arrays
+only then, and the text lines otherwise.  An error raised by a command is
+mapped to its exit code by the one table ``ERROR_EXITS`` and printed to stderr.
 """
 
 from __future__ import annotations
@@ -70,6 +75,20 @@ class UsageError(Exception):
     """Invalid flags, inline payload, or unusable --T or output file; exit 6."""
 
 
+# A subclass of a listed class (of ValueError, say) takes that class's exit code.
+ERROR_EXITS = {
+    ParseError: EXIT_PARSE,
+    SchemaError: EXIT_PARSE,
+    SingularSystem: EXIT_SINGULAR,
+    DimensionTooLarge: EXIT_ORACLE_SIZE,
+    UsageError: EXIT_USAGE,
+    AlphaOutOfRange: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+}
+
+STATUS_EXITS = {SolveStatus.SINGULAR_STEP: EXIT_SINGULAR, SolveStatus.ITERATION_CAP: EXIT_CAP}
+
+
 def _sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -82,8 +101,8 @@ def _fmt_vec(x, max_entries: int = 16) -> str:
     return f"({head}, ... {v.shape[0]} entries, max |x_i| = {np.abs(v).max():.6g})"
 
 
-def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+def _envelope(args, digest: str, result: dict) -> dict:
+    return {"command": args.command_echo, "input": args.file, "input_digest": digest, "result": result}
 
 
 def _load_file(path: str) -> tuple[AveProblem, str]:
@@ -124,7 +143,7 @@ def _parse_inline_matrix(text: str) -> np.ndarray:
         )
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> tuple[int, dict, list[str]]:
     p, digest = _load_file(args.file)
     x0 = _parse_vector(args.x0) if args.x0 else None
     cfg = SolverConfig(tol=args.tol, max_iter=args.max_iter, x0=x0)
@@ -133,136 +152,108 @@ def cmd_solve(args) -> int:
         cfg = guard_d0(p, cfg, v)
     report = gnm_solve(p, cfg)
 
-    if args.json:
-        _print_json(
-            {
-                "command": args.command_echo,
-                "input": args.file,
-                "input_digest": digest,
-                "result": {
-                    "status": report.status.value,
-                    "iterations": report.iterations,
-                    "x": report.x.tolist(),
-                    "residual": report.residual,
-                    "residual_history": list(report.residual_history),
-                    "sign_history": [s.diag.tolist() for s in report.sign_history],
-                    "monotone_from_k1": report.monotone_from_k1,
-                    "notes": list(report.notes),
-                },
-            }
-        )
-    else:
-        for note in report.notes:
-            print(f"note: {note}")
-        if args.trace:
-            for k, (res, s) in enumerate(
-                zip(report.residual_history, report.sign_history)
-            ):
-                signs = ",".join(f"{d:+d}" for d in s.diag) if p.n <= 32 else "..."
-                print(f"k={k} res={res:.6e} d=({signs})")
-        print(
-            f"IT={report.iterations} RES={report.residual:.4e} "
-            f"x={_fmt_vec(report.x)} status={report.status.value}"
-        )
-
-    if report.status is SolveStatus.SINGULAR_STEP:
-        return EXIT_SINGULAR
-    if report.status is SolveStatus.ITERATION_CAP:
-        return EXIT_CAP
-    return EXIT_OK
+    doc = _envelope(
+        args,
+        digest,
+        {
+            "status": report.status.value,
+            "iterations": report.iterations,
+            "x": report.x,
+            "residual": report.residual,
+            "residual_history": report.residual_history,
+            "sign_history": [s.diag for s in report.sign_history],
+            "monotone_from_k1": report.monotone_from_k1,
+            "notes": list(report.notes),
+        },
+    )
+    lines = [f"note: {note}" for note in report.notes]
+    if args.trace:
+        for k, (res, s) in enumerate(zip(report.residual_history, report.sign_history)):
+            signs = ",".join(f"{d:+d}" for d in s.diag) if p.n <= 32 else "..."
+            lines.append(f"k={k} res={res:.6e} d=({signs})")
+    lines.append(
+        f"IT={report.iterations} RES={report.residual:.4e} "
+        f"x={_fmt_vec(report.x)} status={report.status.value}"
+    )
+    return STATUS_EXITS.get(report.status, EXIT_OK), doc, lines
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[int, dict, list[str]]:
     p, digest = _load_file(args.file)
     tols = Tolerances(zero_tol=args.zero_tol, rank_tol=args.rank_tol)
     verdict = classify(p, tols)
     rep = verdict.report
 
-    if args.json:
-        _print_json(
-            {
-                "command": args.command_echo,
-                "input": args.file,
-                "input_digest": digest,
-                "result": {
-                    "is_z": rep.is_z,
-                    "satisfies_3a": rep.satisfies_3a,
-                    "satisfies_3b": rep.satisfies_3b,
-                    "v": None if rep.v is None else rep.v.tolist(),
-                    "v_dot_b": verdict.v_dot_b,
-                    "norm_a_inv": rep.norm_a_inv,
-                    "rho_abs_a_inv": rep.rho_abs_a_inv,
-                    "verdict": verdict.verdict.value,
-                    "basis": verdict.basis.value,
-                    "witness": None
-                    if verdict.witness is None
-                    else verdict.witness.tolist(),
-                    "notes": list(rep.notes),
-                },
-            }
-        )
-        return EXIT_OK
-
-    print(f"3a: {'yes' if rep.satisfies_3a else 'no'}")
-    print(f"3b: {'yes' if rep.satisfies_3b else 'no'}")
+    doc = _envelope(
+        args,
+        digest,
+        {
+            "is_z": rep.is_z,
+            "satisfies_3a": rep.satisfies_3a,
+            "satisfies_3b": rep.satisfies_3b,
+            "v": rep.v,
+            "v_dot_b": verdict.v_dot_b,
+            "norm_a_inv": rep.norm_a_inv,
+            "rho_abs_a_inv": rep.rho_abs_a_inv,
+            "verdict": verdict.verdict.value,
+            "basis": verdict.basis.value,
+            "witness": verdict.witness,
+            "notes": list(rep.notes),
+        },
+    )
+    lines = [
+        f"3a: {'yes' if rep.satisfies_3a else 'no'}",
+        f"3b: {'yes' if rep.satisfies_3b else 'no'}",
+    ]
     if rep.v is not None:
-        print(f"v: {_fmt_vec(rep.v)}")
+        lines.append(f"v: {_fmt_vec(rep.v)}")
     if verdict.v_dot_b is not None:
-        print(f"v.b: {verdict.v_dot_b:.10g}")
+        lines.append(f"v.b: {verdict.v_dot_b:.10g}")
     if rep.norm_a_inv is not None:
-        print(f"||A^-1||: {rep.norm_a_inv:.6g}")
+        lines.append(f"||A^-1||: {rep.norm_a_inv:.6g}")
     if rep.rho_abs_a_inv is not None:
-        print(f"rho(|A^-1|): {rep.rho_abs_a_inv:.6g}")
-    for note in rep.notes:
-        print(f"note: {note}")
-    print(f"verdict: {verdict.verdict.value} (basis: {verdict.basis.value})")
+        lines.append(f"rho(|A^-1|): {rep.rho_abs_a_inv:.6g}")
+    lines += [f"note: {note}" for note in rep.notes]
+    lines.append(f"verdict: {verdict.verdict.value} (basis: {verdict.basis.value})")
     if verdict.witness is not None:
         label = (
             "solution"
             if verdict.verdict is Verdict.UNIQUE_SOLUTION
             else "family anchor u"
         )
-        print(f"{label}: {_fmt_vec(verdict.witness)}")
-    return EXIT_OK
+        lines.append(f"{label}: {_fmt_vec(verdict.witness)}")
+    return EXIT_OK, doc, lines
 
 
-def cmd_oracle(args) -> int:
+def cmd_oracle(args) -> tuple[int, dict, list[str]]:
     p, digest = _load_file(args.file)
     sols = enumerate_solutions(p, verify_tol=args.tol)
     count = sols.count()
 
-    if args.json:
-        _print_json(
-            {
-                "command": args.command_echo,
-                "input": args.file,
-                "input_digest": digest,
-                "result": {
-                    "isolated": [x.tolist() for x in sols.isolated],
-                    "singular_branches": [
-                        {"pattern": list(br.pattern), "consistent": br.consistent}
-                        for br in sols.singular_branches
-                    ],
-                    "count": {"kind": count.kind.value, "count": count.count},
-                    "exhaustive_bound": sols.exhaustive_bound,
-                },
-            }
-        )
-        return EXIT_OK
-
-    if not sols.isolated:
-        print("no isolated solutions")
-    for x in sols.isolated:
-        print(f"solution: {_fmt_vec(x)}")
+    doc = _envelope(
+        args,
+        digest,
+        {
+            "isolated": sols.isolated,
+            "singular_branches": [
+                {"pattern": list(br.pattern), "consistent": br.consistent}
+                for br in sols.singular_branches
+            ],
+            "count": {"kind": count.kind.value, "count": count.count},
+            "exhaustive_bound": sols.exhaustive_bound,
+        },
+    )
+    lines = [] if sols.isolated else ["no isolated solutions"]
+    lines += [f"solution: {_fmt_vec(x)}" for x in sols.isolated]
     for br in sols.singular_branches:
         pat = ",".join(f"{s:+d}" for s in br.pattern)
         flag = "consistent (continuum suspected)" if br.consistent else "inconsistent"
-        print(f"singular branch ({pat}): {flag}")
-    print(f"count: {count.kind.value}" + ("" if count.count is None else f" ({count.count})"))
-    return EXIT_OK
+        lines.append(f"singular branch ({pat}): {flag}")
+    lines.append(f"count: {count.kind.value}" + ("" if count.count is None else f" ({count.count})"))
+    return EXIT_OK, doc, lines
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> tuple[int, dict, list[str]]:
     fam = args.family
     needs_n = fam in ("ex1", "rand3a", "rand3b")
     needs_seed = fam in ("rand3a", "rand3b")
@@ -288,23 +279,18 @@ def cmd_generate(args) -> int:
         p = gen_example_k(int(fam[2:]))
 
     digest = _save_file(args.output, p, metadata)
-    if args.json:
-        _print_json(
-            {
-                "command": args.command_echo,
-                "family": fam,
-                "n": p.n,
-                "seed": args.seed,
-                "path": str(args.output),
-                "digest": digest,
-            }
-        )
-    else:
-        print(f"wrote {args.output} sha256={digest}")
-    return EXIT_OK
+    doc = {
+        "command": args.command_echo,
+        "family": fam,
+        "n": p.n,
+        "seed": args.seed,
+        "path": str(args.output),
+        "digest": digest,
+    }
+    return EXIT_OK, doc, [f"wrote {args.output} sha256={digest}"]
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> tuple[int, dict, list[str]]:
     if Path(args.T).exists():
         try:
             text = Path(args.T).read_text(encoding="utf-8")
@@ -324,19 +310,8 @@ def cmd_convert(args) -> int:
     c = _parse_vector(args.c)
     p, note = convert_max_form(t, c)
     digest = _save_file(args.output, p, {"source": "max-form", "note": note})
-    if args.json:
-        _print_json(
-            {
-                "command": args.command_echo,
-                "path": str(args.output),
-                "digest": digest,
-                "note": note,
-            }
-        )
-    else:
-        print(f"wrote {args.output} sha256={digest}")
-        print(f"note: {note}")
-    return EXIT_OK
+    doc = {"command": args.command_echo, "path": str(args.output), "digest": digest, "note": note}
+    return EXIT_OK, doc, [f"wrote {args.output} sha256={digest}", f"note: {note}"]
 
 
 def _run_table1(sizes: list[int]) -> tuple[list[dict], bool]:
@@ -377,7 +352,7 @@ def _run_examples() -> tuple[list[dict], bool]:
                 "example": f"ex{k}",
                 "iterations": report.iterations,
                 "reference_iterations": ref_it,
-                "x": report.x.tolist(),
+                "x": report.x,
                 "reference_x": list(expected),
                 "max_error": err,
                 "pass": row_ok,
@@ -386,12 +361,13 @@ def _run_examples() -> tuple[list[dict], bool]:
     return rows, ok
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> tuple[int, dict, list[str]]:
     run_table = args.table1 or not args.examples
     run_examples = args.examples or not args.table1
 
     table_rows: list[dict] | None = None
     example_rows: list[dict] | None = None
+    lines: list[str] = []
     all_ok = True
     if run_table:
         sizes = (
@@ -401,23 +377,7 @@ def cmd_reproduce(args) -> int:
         )
         table_rows, ok = _run_table1(sizes)
         all_ok = all_ok and ok
-    if run_examples:
-        example_rows, ok = _run_examples()
-        all_ok = all_ok and ok
-
-    if args.json:
-        _print_json(
-            {
-                "command": args.command_echo,
-                "table1": table_rows,
-                "examples": example_rows,
-                "pass": all_ok,
-            }
-        )
-        return EXIT_OK if all_ok else 1
-
-    if table_rows is not None:
-        print(f"{'n':>8} {'IT':>4} {'RES':>12}   {'ref IT':>6} {'ref RES':>12}")
+        lines.append(f"{'n':>8} {'IT':>4} {'RES':>12}   {'ref IT':>6} {'ref RES':>12}")
         for r in table_rows:
             ref_it = "-" if r["reference_iterations"] is None else str(r["reference_iterations"])
             ref_res = (
@@ -425,20 +385,29 @@ def cmd_reproduce(args) -> int:
                 if r["reference_residual"] is None
                 else f"{r['reference_residual']:.4e}"
             )
-            print(
+            lines.append(
                 f"{r['n']:>8} {r['iterations']:>4} {r['residual']:>12.4e}   "
                 f"{ref_it:>6} {ref_res:>12}"
             )
-        print(f"table1: {'PASS' if all(r['pass'] for r in table_rows) else 'FAIL'}")
-    if example_rows is not None:
+        lines.append(f"table1: {'PASS' if ok else 'FAIL'}")
+    if run_examples:
+        example_rows, ok = _run_examples()
+        all_ok = all_ok and ok
         for r in example_rows:
-            print(
+            lines.append(
                 f"{r['example']}: IT={r['iterations']} "
                 f"(reference: {r['reference_iterations']}) "
                 f"x={_fmt_vec(r['x'])} maxerr={r['max_error']:.2e}"
             )
-        print(f"examples: {'PASS' if all(r['pass'] for r in example_rows) else 'FAIL'}")
-    return EXIT_OK if all_ok else 1
+        lines.append(f"examples: {'PASS' if ok else 'FAIL'}")
+
+    doc = {
+        "command": args.command_echo,
+        "table1": table_rows,
+        "examples": example_rows,
+        "pass": all_ok,
+    }
+    return (EXIT_OK if all_ok else 1), doc, lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,19 +483,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.command_echo = "avekit " + " ".join(argv)
     try:
-        return args.func(args)
-    except (ParseError, SchemaError) as e:
+        code, doc, lines = args.func(args)
+    except tuple(ERROR_EXITS) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except SingularSystem as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SINGULAR
-    except DimensionTooLarge as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ORACLE_SIZE
-    except (UsageError, AlphaOutOfRange, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for t, code in ERROR_EXITS.items() if isinstance(e, t))
+    print(json.dumps(doc, indent=2, default=np.ndarray.tolist) if args.json else "\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

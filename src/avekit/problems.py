@@ -51,19 +51,13 @@ class SplitMix64:
     def __init__(self, seed: int):
         self._state = int(seed) & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        """Uniform double in [lo, hi) from the top 53 bits."""
-        return lo + (hi - lo) * ((self.next_u64() >> 11) * 2.0**-53)
+        """The next draw of :meth:`uniforms`."""
+        return float(self.uniforms(1, lo, hi)[0])
 
     def uniforms(self, count: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        """The next ``count`` values of :meth:`uniform`, bit for bit.
+        """The next ``count`` uniform doubles in [lo, hi), each from the top
+        53 bits of one splitmix64 output.
 
         The k-th state is seed + k * gamma mod 2^64, so the whole batch is
         one pass of wrapping uint64 arithmetic.

@@ -116,12 +116,7 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     monotone = True
     k = 0
 
-    if res <= cfg.tol:
-        return SolveReport(
-            SolveStatus.CONVERGED, 0, x, (res,), (d,), True, cfg.notes
-        )
-
-    status = None
+    status = SolveStatus.CONVERGED if res <= cfg.tol else None
     while status is None:
         if k >= max_iter:
             status = SolveStatus.ITERATION_CAP

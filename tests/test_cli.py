@@ -498,3 +498,176 @@ def test_reproduce_examples_text_is_pinned(capsys):
     assert code == 0
     assert err == ""
     assert out == PINNED_REPRODUCE_EXAMPLES
+
+
+# Full --json output, byte for byte: each pinned document, dumped with
+# indent=2 as the CLI dumps it, must equal what the call prints, so key
+# order, int against float and every digit count.  "{tmp}" stands for the
+# test's temporary directory.
+PINNED_JSON = {
+    ("solve", "{tmp}/ex4.ave", "--trace", "--json"): {
+        "command": "avekit solve {tmp}/ex4.ave --trace --json",
+        "input": "{tmp}/ex4.ave",
+        "input_digest": "84eb1a00617767c11222a02d20157b52fa757d2856ed56d42ebf4cdcfa332aba",
+        "result": {
+            "status": "Converged",
+            "iterations": 2,
+            "x": [-4.0, -6.0],
+            "residual": 0.0,
+            "residual_history": [20.09975124224178, 36.0, 0.0],
+            "sign_history": [[-1, 1], [-1, -1], [-1, -1]],
+            "monotone_from_k1": True,
+            "notes": ["x0 had D(x0) = I; negated its first component"],
+        },
+    },
+    ("classify", "{tmp}/ex4.ave", "--json"): {
+        "command": "avekit classify {tmp}/ex4.ave --json",
+        "input": "{tmp}/ex4.ave",
+        "input_digest": "84eb1a00617767c11222a02d20157b52fa757d2856ed56d42ebf4cdcfa332aba",
+        "result": {
+            "is_z": True,
+            "satisfies_3a": False,
+            "satisfies_3b": True,
+            "v": [1.0, 1.0],
+            "v_dot_b": -20.0,
+            "norm_a_inv": 0.9999999999999996,
+            "rho_abs_a_inv": 1.0,
+            "verdict": "UniqueSolution",
+            "basis": "Condition3b_NegVb",
+            "witness": [-4.0, -6.0],
+            "notes": [
+                (
+                    "A - I is a singular irreducible M-matrix with positive left kernel "
+                    "(certificate 3b); this criterion is sufficient, not proven equivalent, and "
+                    "rejects reducible singular cases"
+                ),
+            ],
+        },
+    },
+    ("oracle", "{tmp}/ex4.ave", "--json"): {
+        "command": "avekit oracle {tmp}/ex4.ave --json",
+        "input": "{tmp}/ex4.ave",
+        "input_digest": "84eb1a00617767c11222a02d20157b52fa757d2856ed56d42ebf4cdcfa332aba",
+        "result": {
+            "isolated": [[-4.0, -6.0]],
+            "singular_branches": [{"pattern": [1, 1], "consistent": False}],
+            "count": {"kind": "One", "count": 1},
+            "exhaustive_bound": 20,
+        },
+    },
+    ("solve", "{tmp}/ex5.ave", "--trace", "--json"): {
+        "command": "avekit solve {tmp}/ex5.ave --trace --json",
+        "input": "{tmp}/ex5.ave",
+        "input_digest": "6f94263a172ba5659d48a4e9ceb42bd2bc51220ab224230198f8eed5dbfdcedf",
+        "result": {
+            "status": "Converged",
+            "iterations": 2,
+            "x": [-2.0, -3.0],
+            "residual": 0.0,
+            "residual_history": [10.0, 18.0, 0.0],
+            "sign_history": [[-1, 1], [-1, -1], [-1, -1]],
+            "monotone_from_k1": True,
+            "notes": ["x0 had D(x0) = I; negated its first component"],
+        },
+    },
+    ("classify", "{tmp}/ex5.ave", "--json"): {
+        "command": "avekit classify {tmp}/ex5.ave --json",
+        "input": "{tmp}/ex5.ave",
+        "input_digest": "6f94263a172ba5659d48a4e9ceb42bd2bc51220ab224230198f8eed5dbfdcedf",
+        "result": {
+            "is_z": True,
+            "satisfies_3a": False,
+            "satisfies_3b": True,
+            "v": [1.0, 0.5],
+            "v_dot_b": -7.0,
+            "norm_a_inv": 1.170820393249937,
+            "rho_abs_a_inv": 1.0,
+            "verdict": "UniqueSolution",
+            "basis": "Condition3b_NegVb",
+            "witness": [-2.0, -3.0],
+            "notes": [
+                (
+                    "A - I is a singular irreducible M-matrix with positive left kernel "
+                    "(certificate 3b); this criterion is sufficient, not proven equivalent, and "
+                    "rejects reducible singular cases"
+                ),
+            ],
+        },
+    },
+    ("oracle", "{tmp}/ex5.ave", "--json"): {
+        "command": "avekit oracle {tmp}/ex5.ave --json",
+        "input": "{tmp}/ex5.ave",
+        "input_digest": "6f94263a172ba5659d48a4e9ceb42bd2bc51220ab224230198f8eed5dbfdcedf",
+        "result": {
+            "isolated": [[-2.0, -3.0]],
+            "singular_branches": [{"pattern": [1, 1], "consistent": False}],
+            "count": {"kind": "One", "count": 1},
+            "exhaustive_bound": 20,
+        },
+    },
+    ("reproduce", "--examples", "--json"): {
+        "command": "avekit reproduce --examples --json",
+        "table1": None,
+        "examples": [
+            {
+                "example": "ex2",
+                "iterations": 1,
+                "reference_iterations": 1,
+                "x": [88.0, 32.0],
+                "reference_x": [88.0, 32.0],
+                "max_error": 0.0,
+                "pass": True,
+            },
+            {
+                "example": "ex3",
+                "iterations": 2,
+                "reference_iterations": 2,
+                "x": [-2.2399999999999998, -1.2],
+                "reference_x": [-2.24, -1.2],
+                "max_error": 4.440892098500626e-16,
+                "pass": True,
+            },
+            {
+                "example": "ex4",
+                "iterations": 2,
+                "reference_iterations": 2,
+                "x": [-4.0, -6.0],
+                "reference_x": [-4.0, -6.0],
+                "max_error": 0.0,
+                "pass": True,
+            },
+            {
+                "example": "ex5",
+                "iterations": 2,
+                "reference_iterations": 2,
+                "x": [-2.0, -3.0],
+                "reference_x": [-2.0, -3.0],
+                "max_error": 0.0,
+                "pass": True,
+            },
+        ],
+        "pass": True,
+    },
+    ("generate", "--family", "ex4", "-o", "{tmp}/g.ave", "--json"): {
+        "command": "avekit generate --family ex4 -o {tmp}/g.ave --json",
+        "family": "ex4",
+        "n": 2,
+        "seed": None,
+        "path": "{tmp}/g.ave",
+        "digest": "84eb1a00617767c11222a02d20157b52fa757d2856ed56d42ebf4cdcfa332aba",
+    },
+    ("convert", "--T", "1", "--c", "3", "-o", "{tmp}/c.ave", "--json"): {
+        "command": "avekit convert --T 1 --c 3 -o {tmp}/c.ave --json",
+        "path": "{tmp}/c.ave",
+        "digest": "f9bc138c04ce645a5d41d83f4073237e5b4bcee4a365bba66dab859f5ccad553",
+        "note": "solution map: x = -y where y solves this problem",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_JSON), ids=[" ".join(a) for a in PINNED_JSON])
+def test_json_output_is_pinned(ex_files, tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 0
+    assert err == ""
+    assert out.replace(str(tmp_path), "{tmp}") == json.dumps(PINNED_JSON[argv], indent=2) + "\n"

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from avekit.cli import EXIT_CAP, main
 from avekit.core import AveProblem, residual, sign_diagonal
 from avekit.linalg import TridiagonalMatrix
 from avekit.mclass import diagnostics, is_m_matrix
-from avekit.problems import gen_example1, gen_example_k, gen_random_3a, gen_random_3b
+from avekit.problems import gen_example1, gen_example_k, gen_random_3a, gen_random_3b, save
 from avekit.solver import SolverConfig, SolveStatus, gnm_solve, guard_d0
+from gnm_map import run_lengths
 
 
 def test_reference_2x2_traces():
@@ -263,3 +265,58 @@ def test_trace_at_the_cap_holds_n_bytes_a_step():
     # per step: n sign bytes plus a few hundred bytes of array, object and
     # float overhead; float iterate copies and int64 signs would add 15 n
     assert held <= (steps + 1) * (n + 600)
+
+
+def test_text_solve_at_the_cap_keeps_the_trace_as_is(tmp_path, capsys):
+    # text output prints none of the trace, so `avekit solve` must not list
+    # it for JSON: a Python int per sign entry would add 8 (2n + 2) n bytes,
+    # 0.36 MB here
+    n = 150
+    t = TridiagonalMatrix(np.zeros(n - 1), np.full(n, 0.1), np.zeros(n - 1))
+    path = tmp_path / "cap.ave"
+    save(path, AveProblem(t, np.ones(n)))
+    tracemalloc.start()
+    try:
+        code = main(["solve", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = 2 * n + 2
+    assert code == EXIT_CAP
+    assert "status=IterationCapReached" in capsys.readouterr().out
+    # the trace as above, plus the parser, the file and the solver's work
+    # arrays (0.19 MB in all at this size)
+    assert peak <= (steps + 1) * (n + 600) + 100_000
+
+
+# Longest run over every start, on each family's instances below: the
+# paper's bound is 2n + 2, and these runs stop far short of it.
+WORST_RUN = {"rand3a": 4, "rand3b": 5, "ex1": 3}
+
+
+def _bound_instances(family):
+    if family == "ex1":
+        # n = 1 (mod 6) puts a component of x* exactly at 0
+        return [gen_example1(n) for n in range(4, 11) if n % 6 != 1]
+    gen = gen_random_3a if family == "rand3a" else gen_random_3b
+    return [gen(n, seed) for n in range(4, 11) for seed in range(10)]
+
+
+@pytest.mark.parametrize("family", sorted(WORST_RUN))
+def test_every_start_stops_within_2n_plus_2(family):
+    # singular starts, D = I under (3b), are left out as guard_d0 leaves
+    # them out
+    rng = np.random.default_rng(3)
+    worst = 0
+    for p in _bound_instances(family):
+        steps, singular, xs = run_lengths(p.dense_a(), p.b)
+        assert (xs != 0).all()
+        longest = steps[~singular].max()
+        assert longest <= 2 * p.n + 2
+        worst = max(worst, longest)
+        for start in rng.choice(np.flatnonzero(~singular), 5, replace=False):
+            x0 = np.where((start >> np.arange(p.n - 1, -1, -1)) & 1, 1.0, -1.0)
+            rep = gnm_solve(p, SolverConfig(x0=x0))
+            assert rep.status is SolveStatus.CONVERGED
+            assert rep.iterations == steps[start]
+    assert worst == WORST_RUN[family]
