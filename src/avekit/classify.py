@@ -11,6 +11,7 @@ import numpy as np
 
 from .core import AveProblem, as_vector
 from .errors import AlphaOutOfRange
+from .linalg import _vector
 from .mclass import DEFAULT_TOLS, ConditionReport, Tolerances, diagnostics, is_symmetric
 from .solver import SolverConfig, SolveStatus, gnm_solve, guard_d0
 
@@ -107,9 +108,7 @@ def solution_family(p: AveProblem, v, alphas) -> list[np.ndarray]:
     strictly, which keeps every returned point strictly positive; a
     violating alpha raises AlphaOutOfRange.
     """
-    v = as_vector(v)
-    if v.shape != (p.n,):
-        raise ValueError(f"v has shape {v.shape}, expected ({p.n},)")
+    v = _vector(as_vector(v), p.n, "v")
     if not (v > 0).all():
         raise ValueError("v must be strictly positive componentwise")
     u = family_anchor(p)

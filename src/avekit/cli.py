@@ -304,6 +304,9 @@ def cmd_convert(args) -> tuple[int, dict, list[str]]:
                     rows.append([float(tok) for tok in body.split()])
                 except ValueError:
                     raise UsageError(f"bad matrix row in {args.T}: {body!r}") from None
+        for i, r in enumerate(rows, 1):
+            if len(r) != len(rows[0]):
+                raise UsageError(f"{args.T}: row {i} has {len(r)} values, row 1 has {len(rows[0])}")
         t = np.array(rows)
     else:
         t = _parse_inline_matrix(args.T)
@@ -370,11 +373,10 @@ def cmd_reproduce(args) -> tuple[int, dict, list[str]]:
     lines: list[str] = []
     all_ok = True
     if run_table:
-        sizes = (
-            [int(t) for t in args.sizes.split(",")]
-            if args.sizes
-            else sorted(REFERENCE_TABLE1)
-        )
+        try:
+            sizes = list(map(int, args.sizes.split(","))) if args.sizes else sorted(REFERENCE_TABLE1)
+        except ValueError:
+            raise UsageError(f"--sizes {args.sizes!r}: expected comma-separated integers") from None
         table_rows, ok = _run_table1(sizes)
         all_ok = all_ok and ok
         lines.append(f"{'n':>8} {'IT':>4} {'RES':>12}   {'ref IT':>6} {'ref RES':>12}")

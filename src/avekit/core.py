@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import TridiagonalMatrix, _freeze, _square
+from .linalg import TridiagonalMatrix, _freeze, _square, _vector
 
 
 def as_vector(x) -> np.ndarray:
@@ -112,8 +112,6 @@ class AveProblem:
 
 def residual(p: AveProblem, x) -> tuple[np.ndarray, float]:
     """Return r = A x - |x| - b and its Euclidean norm."""
-    v = np.asarray(x, dtype=float)
-    if v.shape != (p.n,):
-        raise ValueError(f"x has shape {v.shape}, expected ({p.n},)")
+    v = _vector(x, p.n, "x")
     r = p.matvec(v) - np.abs(v) - p.b
     return r, float(np.linalg.norm(r))

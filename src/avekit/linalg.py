@@ -3,8 +3,9 @@
 Every kernel here is written out in numpy: the blocked LU, with partial
 pivoting (:func:`lu_factor`) or without (:func:`lu_nopivot`), and its
 blocked substitutions, the O(n) tridiagonal recurrences, the shared-prefix
-elimination and solve of ``A - diag(s)`` over sign patterns, power
-iterations and the irreducibility check.  Their exact behavior
+elimination and solve of ``A - diag(s)`` over sign patterns, one power
+iteration, :func:`spectral_radius_nonneg`, which gives ``gen_random_3a``
+its pinned draws, and the irreducibility check.  Their exact behavior
 (tolerances, flags, pivot rows, stopping points, deterministic starting
 vectors) is part of the library contract, and the module never imports
 scipy, whose ``scipy.linalg`` import costs more than most CLI calls.  Of
@@ -61,6 +62,14 @@ def _square(m) -> np.ndarray:
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _vector(x, n: int, what: str) -> np.ndarray:
+    """``x`` as a float array, which must have shape (n,)."""
+    v = np.asarray(x, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{what} has shape {v.shape}, expected ({n},)")
+    return v
 
 
 @dataclass(frozen=True)
@@ -198,9 +207,7 @@ def pattern_solve(m, rhs, rank_tol: float, start: int, stop: int) -> tuple[np.nd
     """
     a = _square(m)
     n = a.shape[0]
-    b = np.asarray(rhs, dtype=float)
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
+    b = _vector(rhs, n, "right-hand side")
     if not 0 <= start < stop <= 2**n:
         raise ValueError(f"pattern range [{start}, {stop}) is not within [0, 2^{n})")
     d = np.diagonal(a)
@@ -262,10 +269,7 @@ def solve(f: LuFactorization, rhs) -> np.ndarray:
         raise SingularSystem(
             f"matrix is singular to rank tolerance {f.rank_tol:g}"
         )
-    b = np.asarray(rhs, dtype=float)
-    if b.shape != (f.n,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({f.n},)")
-    return _lu_solve(f, b)
+    return _lu_solve(f, _vector(rhs, f.n, "right-hand side"))
 
 
 def inverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -327,10 +331,13 @@ class TridiagonalMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
 
+    @property
+    def scale(self) -> float:
+        """The largest entry magnitude."""
+        return float(max(np.abs(d).max(initial=0.0) for d in (self.main, self.sub, self.sup)))
+
     def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"vector has shape {x.shape}, expected ({self.n},)")
+        x = _vector(x, self.n, "vector")
         y = self.main * x
         if self.n > 1:
             y[:-1] += self.sup * x[1:]
@@ -390,8 +397,7 @@ def _tridiag_eliminate(t: TridiagonalMatrix, rhs: list[float], rank_tol: float):
             sup2[i] = sup[i + 1]
             sup[i + 1] = -f * sup[i + 1]
             rhs[i], rhs[i + 1] = rhs[i + 1], rhs[i] - f * rhs[i + 1]
-    scale = np.abs(np.concatenate((t.sub, t.main, t.sup))).max()
-    singular = bool(_singular(np.abs(np.array(pivots)), scale, rank_tol))
+    singular = bool(_singular(np.abs(np.array(pivots)), t.scale, rank_tol))
     return pivots, sup, sup2, singular
 
 
@@ -405,13 +411,10 @@ def _column_dominant(t: TridiagonalMatrix, rank_tol: float) -> bool:
     elimination of :func:`_tridiag_eliminate` never flags such a matrix
     singular at ``rank_tol``, up to rounding of the threshold.
     """
-    sub = np.abs(t.sub)
-    sup = np.abs(t.sup)
     margin = np.abs(t.main)
-    scale = max(margin.max(), sub.max(initial=0.0), sup.max(initial=0.0))
-    margin[:-1] -= sub
-    margin[1:] -= sup
-    return bool(margin.min() > rank_tol * scale)
+    margin[:-1] -= np.abs(t.sub)
+    margin[1:] -= np.abs(t.sup)
+    return bool(margin.min() > rank_tol * t.scale)
 
 
 def _cyclic_reduction(t: TridiagonalMatrix, b: np.ndarray) -> np.ndarray:
@@ -472,10 +475,8 @@ def tridiag_solve(t: TridiagonalMatrix, rhs) -> np.ndarray:
     LAPACK gtsv and one back substitution, a Python loop over the rows.
     The two agree to rounding, not bit for bit.
     """
-    b = np.asarray(rhs, dtype=float)
+    b = _vector(rhs, t.n, "right-hand side")
     n = t.n
-    if b.shape != (n,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected ({n},)")
     if _column_dominant(t, DEFAULT_RANK_TOL):
         return _cyclic_reduction(t, b)
     x = b.tolist() + [0.0, 0.0]
@@ -501,45 +502,18 @@ class PowerIterationResult:
     iterations: int
 
 
-def spectral_norm(
-    m, tol: float = DEFAULT_POWER_TOL, max_iter: int = DEFAULT_POWER_MAX_ITER
-) -> PowerIterationResult:
-    """Largest singular value by power iteration on M^T M.
+def spectral_norm(m) -> PowerIterationResult:
+    """Largest singular value, exact, by ``np.linalg.norm(m, 2)``.
 
-    The Rayleigh estimate is monotone nondecreasing for the symmetric
-    positive-semidefinite product, so the final value is a valid lower
-    bound even when the convergence flag is False.
-    """
+    Nothing in the library calls it; the name and the result type stay
+    while ``clibench/tracing.py`` wraps it and reads ``iterations`` and
+    ``converged``."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"expected a nonempty matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    if np.abs(a).max() == 0.0:
-        return PowerIterationResult(0.0, True, 0)
-    cols = a.shape[1]
-    v = np.ones(cols) / np.sqrt(cols)
-    restart = 0
-    est = 0.0
-    est_prev = None
-    for k in range(1, max_iter + 1):
-        w = a @ v
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            # start vector was in the kernel; restart from a basis vector
-            if restart >= cols:
-                return PowerIterationResult(0.0, True, k)
-            v = np.zeros(cols)
-            v[restart] = 1.0
-            restart += 1
-            est_prev = None
-            continue
-        u = a.T @ w
-        v = u / np.linalg.norm(u)
-        if est_prev is not None and abs(est - est_prev) <= tol * est:
-            return PowerIterationResult(est, True, k)
-        est_prev = est
-    return PowerIterationResult(est, False, max_iter)
+    return PowerIterationResult(float(np.linalg.norm(a, 2)), True, 0)
 
 
 def spectral_radius_nonneg(

@@ -209,7 +209,7 @@ class _Tridiagonal:
         self._lambda_min: float | None = None
 
     def scale(self) -> float:
-        return float(np.abs(np.concatenate((self.t.sub, self.t.main, self.t.sup))).max())
+        return self.t.scale
 
     def is_z(self, zero_tol: float) -> bool:
         return bool(np.all(self.t.sub <= zero_tol) and np.all(self.t.sup <= zero_tol))

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import AveProblem, SignDiagonal, as_vector, residual, sign_diagonal
 from .errors import SingularSystem
-from .linalg import DEFAULT_RANK_TOL, TridiagonalMatrix, lu_factor, solve, tridiag_solve
+from .linalg import DEFAULT_RANK_TOL, TridiagonalMatrix, _vector, lu_factor, solve, tridiag_solve
 
 # Componentwise slack when checking iterate monotonicity x^{k+1} >= x^k.
 MONOTONE_SLACK = 1e-12
@@ -103,10 +103,7 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     it singular, up to rounding of the threshold, and its solution agrees
     with the pivoting loop's to rounding.
     """
-    x = cfg.x0 if cfg.x0 is not None else np.ones(p.n)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.n,):
-        raise ValueError(f"x0 has shape {x.shape}, expected ({p.n},)")
+    x = _vector(cfg.x0 if cfg.x0 is not None else np.ones(p.n), p.n, "x0")
     max_iter = cfg.max_iter if cfg.max_iter is not None else 2 * p.n + 2
 
     d = sign_diagonal(x)

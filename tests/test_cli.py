@@ -354,6 +354,17 @@ def test_convert_t_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     assert not Path(path).exists()
 
 
+def test_convert_t_with_unequal_rows_names_the_file_and_rows(tmp_path, capsys):
+    tfile = tmp_path / "t.txt"
+    tfile.write_text("1 0 0\n# a comment\n0 1\n0 0 1\n")
+    path = str(tmp_path / "c.ave")
+    code, out, err = run(capsys, "convert", "--T", str(tfile), "--c", "3,3,3", "-o", path)
+    assert code == 6
+    assert out == ""
+    assert err == f"error: {tfile}: row 2 has 2 values, row 1 has 3\n"
+    assert not Path(path).exists()
+
+
 def test_solve_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.ave"
     bad.write_bytes(b"\xff\xfe\x00")
@@ -376,6 +387,13 @@ def test_reproduce_small_size_has_no_reference_column(capsys):
     lines = [ln for ln in out.splitlines() if ln.strip().startswith("10 ")]
     assert lines and "-" in lines[0]
     assert "table1: PASS" in out
+
+
+def test_reproduce_malformed_sizes_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "reproduce", "--table1", "--sizes", "10,abc")
+    assert code == 6
+    assert out == ""
+    assert err == "error: --sizes '10,abc': expected comma-separated integers\n"
 
 
 def test_reproduce_json(capsys):

@@ -291,13 +291,24 @@ def test_text_solve_at_the_cap_keeps_the_trace_as_is(tmp_path, capsys):
 
 # Longest run over every start, on each family's instances below: the
 # paper's bound is 2n + 2, and these runs stop far short of it.
-WORST_RUN = {"rand3a": 4, "rand3b": 5, "ex1": 3}
+WORST_RUN = {"rand3a": 4, "rand3b": 5, "ex1": 3, "chain": 7}
+
+
+def _chain(n):
+    # A = 2I - 10L with L the unit subdiagonal, a (3a) instance whose
+    # longest run is n/2 + 2 at these sizes; x* = linspace(-1, 1, n)
+    a = TridiagonalMatrix(np.full(n - 1, -10.0), np.full(n, 2.0), np.zeros(n - 1))
+    x = np.linspace(-1.0, 1.0, n)
+    return AveProblem(a, a.matvec(x) - np.abs(x))
 
 
 def _bound_instances(family):
     if family == "ex1":
         # n = 1 (mod 6) puts a component of x* exactly at 0
         return [gen_example1(n) for n in range(4, 11) if n % 6 != 1]
+    if family == "chain":
+        # odd n puts a component of x* exactly at 0
+        return [_chain(n) for n in range(4, 11, 2)]
     gen = gen_random_3a if family == "rand3a" else gen_random_3b
     return [gen(n, seed) for n in range(4, 11) for seed in range(10)]
 
@@ -305,7 +316,7 @@ def _bound_instances(family):
 @pytest.mark.parametrize("family", sorted(WORST_RUN))
 def test_every_start_stops_within_2n_plus_2(family):
     # singular starts, D = I under (3b), are left out as guard_d0 leaves
-    # them out
+    # them out; a tridiagonal instance runs its starts on both storages
     rng = np.random.default_rng(3)
     worst = 0
     for p in _bound_instances(family):
@@ -313,10 +324,15 @@ def test_every_start_stops_within_2n_plus_2(family):
         assert (xs != 0).all()
         longest = steps[~singular].max()
         assert longest <= 2 * p.n + 2
+        if family == "chain":
+            assert not singular.any()
+            assert longest == p.n // 2 + 2
         worst = max(worst, longest)
+        storages = [p, AveProblem(p.dense_a(), p.b)] if p.is_tridiagonal else [p]
         for start in rng.choice(np.flatnonzero(~singular), 5, replace=False):
             x0 = np.where((start >> np.arange(p.n - 1, -1, -1)) & 1, 1.0, -1.0)
-            rep = gnm_solve(p, SolverConfig(x0=x0))
-            assert rep.status is SolveStatus.CONVERGED
-            assert rep.iterations == steps[start]
+            for q in storages:
+                rep = gnm_solve(q, SolverConfig(x0=x0))
+                assert rep.status is SolveStatus.CONVERGED
+                assert rep.iterations == steps[start]
     assert worst == WORST_RUN[family]
