@@ -95,8 +95,7 @@ def classify(p: AveProblem, tols: Tolerances = DEFAULT_TOLS) -> SolvabilityVerdi
 
 def family_anchor(p: AveProblem) -> np.ndarray:
     """Minimum-norm least-squares solution u of (A - I) u = b."""
-    a = p.dense_a()
-    u, *_ = np.linalg.lstsq(a - np.eye(p.n), p.b, rcond=None)
+    u, *_ = np.linalg.lstsq(p.structure.shifted(-1.0).to_dense(), p.b, rcond=None)
     return u
 
 

@@ -8,11 +8,11 @@ share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import TridiagonalMatrix, _freeze, _square, _vector
+from .linalg import TridiagonalMatrix, _Storage, _structure, _vector
 
 
 def as_vector(x) -> np.ndarray:
@@ -24,11 +24,6 @@ def as_vector(x) -> np.ndarray:
         raise ValueError("vector entries must be finite")
     v.setflags(write=False)
     return v
-
-
-def as_square_matrix(m) -> np.ndarray:
-    """Coerce to a finite, read-only square float matrix."""
-    return _freeze(np.array(_square(m)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,22 +68,21 @@ def sign_diagonal(x) -> SignDiagonal:
 
 @dataclass(frozen=True, eq=False)
 class AveProblem:
-    """An instance A x - |x| = b; ``a`` is dense or tridiagonal-banded."""
+    """An instance A x - |x| = b; ``a`` is dense or tridiagonal-banded, and
+    ``structure`` is its storage, which every operation on A asks."""
 
     a: np.ndarray | TridiagonalMatrix
     b: np.ndarray
+    structure: _Storage = field(init=False, repr=False)
 
     def __post_init__(self):
         b = as_vector(self.b)
-        a = self.a
-        if not isinstance(a, TridiagonalMatrix):
-            a = as_square_matrix(a)
-        if a.shape[0] != b.shape[0]:
-            raise ValueError(
-                f"matrix is {a.shape[0]}x{a.shape[0]} but b has length {b.shape[0]}"
-            )
-        object.__setattr__(self, "a", a)
+        s = _structure(self.a)
+        if s.n != b.shape[0]:
+            raise ValueError(f"matrix is {s.n}x{s.n} but b has length {b.shape[0]}")
+        object.__setattr__(self, "a", s.a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "structure", s)
 
     @property
     def n(self) -> int:
@@ -96,22 +90,20 @@ class AveProblem:
 
     @property
     def is_tridiagonal(self) -> bool:
-        return isinstance(self.a, TridiagonalMatrix)
+        return self.structure.tridiagonal
 
     def dense_a(self) -> np.ndarray:
         """The coefficient matrix as a dense array (materializes banded storage)."""
-        if isinstance(self.a, TridiagonalMatrix):
-            return self.a.to_dense()
-        return np.asarray(self.a)
-
-    def matvec(self, x) -> np.ndarray:
-        if isinstance(self.a, TridiagonalMatrix):
-            return self.a.matvec(x)
-        return self.a @ np.asarray(x, dtype=float)
+        return self.structure.to_dense()
 
 
 def residual(p: AveProblem, x) -> tuple[np.ndarray, float]:
-    """Return r = A x - |x| - b and its Euclidean norm."""
+    """Return r = A x - |x| - b and its Euclidean norm, rescaled by
+    m = max |r_i| only when the plain sum of squares overflows."""
     v = _vector(x, p.n, "x")
-    r = p.matvec(v) - np.abs(v) - p.b
-    return r, float(np.linalg.norm(r))
+    r = p.structure.matvec(v) - np.abs(v) - p.b
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(r))
+    if norm == np.inf and (m := float(np.abs(r).max())) < np.inf:
+        norm = m * float(np.linalg.norm(r / m))
+    return r, norm

@@ -7,12 +7,16 @@ elimination and solve of ``A - diag(s)`` over sign patterns, one power
 iteration, :func:`spectral_radius_nonneg`, which gives ``gen_random_3a``
 its pinned draws, and the irreducibility check.  Their exact behavior
 (tolerances, flags, pivot rows, stopping points, deterministic starting
-vectors) is part of the library contract, and the module never imports
-scipy, whose ``scipy.linalg`` import costs more than most CLI calls.  Of
-the commands, only ``oracle`` on a singular pattern with a kernel of
-dimension 2 or more (for ``linprog``) and ``classify`` on a nonsingular
-tridiagonal matrix that is not symmetric positive definite (for
-``eigvals_banded``) load scipy.
+vectors) is part of the library contract.  The module imports
+``scipy.linalg``, whose import costs more than most CLI calls, in one
+place only, lazily: the smallest singular value of a tridiagonal matrix
+that is not symmetric positive definite (for ``eigvals_banded``).  Of the
+commands, only ``oracle`` on a singular pattern with a kernel of dimension
+2 or more (for ``linprog``) and ``classify`` on such a matrix load scipy.
+
+The storage of a matrix, dense or :class:`TridiagonalMatrix`, is picked
+in one place, :func:`_structure`; the problem, the Newton step and the
+certificates ask the ``_Dense`` or ``_Tridiagonal`` it returns.
 
 One rule decides singularity for every partial-pivoting LU, dense
 (:func:`lu_factor`), over sign patterns (:func:`pattern_solve`, which
@@ -471,8 +475,9 @@ def tridiag_solve(t: TridiagonalMatrix, rhs) -> np.ndarray:
 
     A column diagonally dominant matrix (see :func:`_column_dominant`) is
     not flagged, up to rounding of the threshold, and is solved by cyclic
-    reduction in floor(log2 n) levels of numpy passes.  Every other matrix takes one elimination in the order of
-    LAPACK gtsv and one back substitution, a Python loop over the rows.
+    reduction in floor(log2 n) levels of numpy passes.  Every other matrix
+    takes one elimination in the order of LAPACK gtsv and one back
+    substitution, a Python loop over the rows.
     The two agree to rounding, not bit for bit.
     """
     b = _vector(rhs, t.n, "right-hand side")
@@ -568,3 +573,210 @@ def _reaches_all(adj: np.ndarray, start: int) -> bool:
         seen |= nxt
         frontier = nxt
     return bool(seen.all())
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """``x``, unless it overflowed: the system is singular to working precision."""
+    if not np.isfinite(x).all():
+        raise SingularSystem("the solution overflows working precision")
+    return x
+
+
+class _Storage:
+    """A matrix ``a`` in the storage that :func:`_structure` picked."""
+
+    tridiagonal = False
+
+    def __init__(self, a: np.ndarray | TridiagonalMatrix):
+        self.a = a
+        self.n = a.shape[0]
+
+
+class _Dense(_Storage):
+    """Operations on a dense matrix."""
+
+    def to_dense(self) -> np.ndarray:
+        return self.a
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.a @ x
+
+    def shifted(self, c) -> _Dense:
+        """A + diag(c) for a scalar or a vector c."""
+        a = np.array(self.a)
+        a[np.diag_indices(self.n)] += c
+        return _Dense(a)
+
+    def solve(self, rhs) -> np.ndarray:
+        """x = A^-1 rhs by pivoted LU at ``DEFAULT_RANK_TOL``."""
+        return _finite(solve(lu_factor(self.a, DEFAULT_RANK_TOL), rhs))
+
+    def scale(self) -> float:
+        return float(np.abs(self.a).max())
+
+    def is_z(self, zero_tol: float) -> bool:
+        return bool(np.all(self.a[~np.eye(self.n, dtype=bool)] <= zero_tol))
+
+    def is_symmetric(self, tol: float) -> bool:
+        return bool(np.all(np.abs(self.a - self.a.T) <= tol))
+
+    def eliminate(self, floor: float) -> tuple[np.ndarray, np.ndarray]:
+        packed, k = lu_nopivot(self.a, floor)
+        return np.diag(packed)[: k + 1], packed
+
+    def left_kernel(self, packed: np.ndarray) -> np.ndarray:
+        # A = L U with U's last row zero, so v^T L = e_n^T, one O(n^2)
+        # substitution with L^T
+        e_n = np.zeros(self.n)
+        e_n[-1] = 1.0
+        return triangular_solve(packed, e_n, lower=True, trans=True)
+
+    def is_irreducible(self, zero_tol: float) -> bool:
+        return is_irreducible(self.a, zero_tol)
+
+    def singular(self, rank_tol: float) -> bool:
+        return lu_factor(self.a, rank_tol).singular
+
+    def inverse(self, rank_tol: float) -> np.ndarray | None:
+        """A^-1, or None when A is singular."""
+        try:
+            return inverse(self.a, rank_tol)
+        except SingularSystem:
+            return None
+
+    def sigma_min(self) -> float:
+        """Smallest singular value, from a dense SVD."""
+        return float(np.linalg.svd(self.a, compute_uv=False)[-1])
+
+    def lambda_min(self) -> float:
+        """Smallest real part of the spectrum (real for an M-matrix), from a
+        dense eigenvalue solve."""
+        return float(np.linalg.eigvals(self.a).real.min())
+
+
+def _lowest_eigenvalue(main: np.ndarray, coupling: np.ndarray) -> float:
+    """Smallest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    ``main`` and squared off-diagonals ``coupling`` (all >= 0).
+
+    Bisection on Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9,
+    1967, the method of LAPACK stebz) in O(n) memory: x is at or above
+    the lowest eigenvalue iff T - xI has a nonpositive pivot in LU without
+    pivoting, so each count stops at the first one.  The bracket runs
+    from the Gershgorin lower bound to the least diagonal entry and is
+    halved until it is one rounding unit of its larger end wide.
+    """
+    d = main.tolist()
+    c = [0.0] + coupling.tolist()
+    off = np.sqrt(coupling)
+    radius = np.zeros(len(d))
+    radius[:-1] += off
+    radius[1:] += off
+    lo = float((main - radius).min())
+    hi = min(d)
+
+    def not_below(x: float) -> bool:
+        q = 1.0
+        for di, ci in zip(d, c):
+            q = di - x - ci / q
+            if q <= 0.0:
+                return True
+        return False
+
+    tol = np.finfo(float).eps * max(abs(lo), abs(hi))
+    while hi - lo > tol:
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            break
+        if not_below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * lo + 0.5 * hi
+
+
+class _Tridiagonal(_Storage):
+    """Operations on a tridiagonal matrix, O(n) memory each but ``inverse``."""
+
+    tridiagonal = True
+    _lambda_min: float | None = None
+
+    def to_dense(self) -> np.ndarray:
+        return self.a.to_dense()
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.a.matvec(x)
+
+    def shifted(self, c) -> _Tridiagonal:
+        return _Tridiagonal(TridiagonalMatrix(self.a.sub, self.a.main + c, self.a.sup))
+
+    def solve(self, rhs) -> np.ndarray:
+        return _finite(tridiag_solve(self.a, rhs))
+
+    def scale(self) -> float:
+        return self.a.scale
+
+    def is_z(self, zero_tol: float) -> bool:
+        return bool(np.all(self.a.sub <= zero_tol) and np.all(self.a.sup <= zero_tol))
+
+    def is_symmetric(self, tol: float) -> bool:
+        return bool(np.all(np.abs(self.a.sub - self.a.sup) <= tol))
+
+    def eliminate(self, floor: float) -> tuple[np.ndarray, np.ndarray]:
+        pivots = tridiag_pivots(self.a, floor)
+        return pivots, pivots
+
+    def left_kernel(self, pivots: np.ndarray) -> np.ndarray:
+        # L has multipliers sub_i / p_i, so L^T v = e_n gives
+        # v_i = -(sub_i / p_i) v_{i+1} from v_{n-1} = 1
+        ratios = -self.a.sub / pivots[:-1]
+        return np.append(np.cumprod(ratios[::-1])[::-1], 1.0)
+
+    def is_irreducible(self, zero_tol: float) -> bool:
+        return bool(np.all(np.abs(self.a.sub) > zero_tol) and np.all(np.abs(self.a.sup) > zero_tol))
+
+    def singular(self, rank_tol: float) -> bool:
+        return tridiag_singular(self.a, rank_tol)
+
+    def inverse(self, rank_tol: float) -> np.ndarray | None:
+        """A^-1 as a dense matrix, or None when A is singular, which is
+        decided in O(n) before anything dense is built."""
+        return None if self.singular(rank_tol) else _Dense(self.a.to_dense()).inverse(rank_tol)
+
+    def sigma_min(self) -> float:
+        """Smallest singular value: lambda_min when A is symmetric positive
+        definite, else from the banded Jordan-Wielandt matrix."""
+        t = self.a
+        if np.array_equal(t.sub, t.sup) and (lam := self.lambda_min()) > 0.0:
+            return lam
+        import scipy.linalg
+
+        # The symmetric [[0, A], [A^T, 0]] has eigenvalues +-sigma_i(A), and
+        # interleaving the two halves makes it banded with three
+        # superdiagonals (Golub & Van Loan, sec. 8.6).  Its eigenvalue n, in
+        # ascending order, is sigma_min(A), to the accuracy of a dense SVD;
+        # the normal matrix A^T A would square the condition number.
+        band = np.zeros((4, 2 * self.n))
+        band[2, 1::2] = t.main
+        band[2, 2::2] = t.sub
+        band[0, 3::2] = t.sup
+        sigma = scipy.linalg.eigvals_banded(
+            band, select="i", select_range=(self.n, self.n), check_finite=False
+        )[0]
+        return abs(float(sigma))
+
+    def lambda_min(self) -> float:
+        """Smallest eigenvalue of a Z-matrix, or of a symmetric matrix,
+        through the symmetric matrix with off-diagonals sqrt(sub * sup),
+        which has the same spectrum; one Sturm bisection, kept for the
+        next call."""
+        if self._lambda_min is None:
+            coupling = np.maximum(self.a.sub * self.a.sup, 0.0)
+            self._lambda_min = _lowest_eigenvalue(self.a.main, coupling)
+        return self._lambda_min
+
+
+def _structure(a) -> _Storage:
+    """The one place where the storage of a matrix is picked."""
+    if isinstance(a, TridiagonalMatrix):
+        return _Tridiagonal(a)
+    return _Dense(_freeze(np.array(_square(a))))

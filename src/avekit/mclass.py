@@ -16,9 +16,10 @@ the factors positive, and A - I irreducible.  No shift is factored: the
 leading block B is a nonsingular M-matrix, 0 <= (B + eI)^-1 <= B^-1 and
 the last row and column are <= 0, so a shift e >= 0 adds at least e to
 the last pivot; irreducibility then makes every nonzero nonnegative
-diagonal shift nonsingular (ibid., ch. 6).  Structure, dense or
-:class:`TridiagonalMatrix`, is chosen once in :func:`_structure`; on
-tridiagonal input every certificate step is O(n) in memory.
+diagonal shift nonsingular (ibid., ch. 6).  Every operation on A asks
+the storage that :mod:`avekit.linalg` picks for it, dense or
+:class:`~avekit.linalg.TridiagonalMatrix`; on tridiagonal input every
+certificate step is O(n) in memory.
 """
 
 from __future__ import annotations
@@ -27,19 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_square_matrix
-from .errors import SingularSystem
-from .linalg import (
-    DEFAULT_RANK_TOL,
-    TridiagonalMatrix,
-    inverse,
-    is_irreducible,
-    lu_factor,
-    lu_nopivot,
-    triangular_solve,
-    tridiag_pivots,
-    tridiag_singular,
-)
+from .linalg import DEFAULT_RANK_TOL, _Storage, _structure
 
 
 @dataclass(frozen=True)
@@ -105,200 +94,21 @@ class _Elimination:
         return self.pivots.size == self.n and bool(abs(self.pivots[-1]) <= self.floor)
 
 
-class _Dense:
-    """Certificate operations on a dense matrix."""
-
-    def __init__(self, a: np.ndarray):
-        self.a = a
-        self.n = a.shape[0]
-
-    def scale(self) -> float:
-        return float(np.abs(self.a).max())
-
-    def is_z(self, zero_tol: float) -> bool:
-        return bool(np.all(self.a[~np.eye(self.n, dtype=bool)] <= zero_tol))
-
-    def is_symmetric(self, tol: float) -> bool:
-        return bool(np.all(np.abs(self.a - self.a.T) <= tol))
-
-    def shifted(self, c: float) -> _Dense:
-        a = np.array(self.a)
-        a[np.diag_indices(self.n)] += c
-        return _Dense(a)
-
-    def eliminate(self, floor: float) -> _Elimination:
-        packed, k = lu_nopivot(self.a, floor)
-        return _Elimination(self.n, np.diag(packed)[: k + 1], packed, floor)
-
-    def left_kernel(self, packed: np.ndarray) -> np.ndarray:
-        # A = L U with U's last row zero, so v^T L = e_n^T, one O(n^2)
-        # substitution with L^T
-        e_n = np.zeros(self.n)
-        e_n[-1] = 1.0
-        return triangular_solve(packed, e_n, lower=True, trans=True)
-
-    def is_irreducible(self, zero_tol: float) -> bool:
-        return is_irreducible(self.a, zero_tol)
-
-    def singular(self, rank_tol: float) -> bool:
-        return lu_factor(self.a, rank_tol).singular
-
-    def inverse(self, rank_tol: float) -> np.ndarray | None:
-        """A^-1, or None when A is singular."""
-        try:
-            return inverse(self.a, rank_tol)
-        except SingularSystem:
-            return None
-
-    def sigma_min(self) -> float:
-        """Smallest singular value, from a dense SVD."""
-        return float(np.linalg.svd(self.a, compute_uv=False)[-1])
-
-    def lambda_min(self) -> float:
-        """Smallest real part of the spectrum (real for an M-matrix), from a
-        dense eigenvalue solve."""
-        return float(np.linalg.eigvals(self.a).real.min())
-
-
-def _lowest_eigenvalue(main: np.ndarray, coupling: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetric tridiagonal matrix with diagonal
-    ``main`` and squared off-diagonals ``coupling`` (all >= 0).
-
-    Bisection on Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9,
-    1967, the method of LAPACK stebz) in O(n) memory: x is at or above
-    the lowest eigenvalue iff T - xI has a nonpositive pivot in LU without
-    pivoting, so each count stops at the first one.  The bracket runs
-    from the Gershgorin lower bound to the least diagonal entry and is
-    halved until it is one rounding unit of its larger end wide.
-    """
-    d = main.tolist()
-    c = [0.0] + coupling.tolist()
-    off = np.sqrt(coupling)
-    radius = np.zeros(len(d))
-    radius[:-1] += off
-    radius[1:] += off
-    lo = float((main - radius).min())
-    hi = min(d)
-
-    def not_below(x: float) -> bool:
-        q = 1.0
-        for di, ci in zip(d, c):
-            q = di - x - ci / q
-            if q <= 0.0:
-                return True
-        return False
-
-    tol = np.finfo(float).eps * max(abs(lo), abs(hi))
-    while hi - lo > tol:
-        mid = 0.5 * lo + 0.5 * hi
-        if not lo < mid < hi:
-            break
-        if not_below(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * lo + 0.5 * hi
-
-
-class _Tridiagonal:
-    """Certificate operations on a tridiagonal matrix, O(n) memory each."""
-
-    def __init__(self, t: TridiagonalMatrix):
-        self.t = t
-        self.n = t.n
-        self._lambda_min: float | None = None
-
-    def scale(self) -> float:
-        return self.t.scale
-
-    def is_z(self, zero_tol: float) -> bool:
-        return bool(np.all(self.t.sub <= zero_tol) and np.all(self.t.sup <= zero_tol))
-
-    def is_symmetric(self, tol: float) -> bool:
-        return bool(np.all(np.abs(self.t.sub - self.t.sup) <= tol))
-
-    def shifted(self, c: float) -> _Tridiagonal:
-        return _Tridiagonal(TridiagonalMatrix(self.t.sub, self.t.main + c, self.t.sup))
-
-    def eliminate(self, floor: float) -> _Elimination:
-        pivots = tridiag_pivots(self.t, floor)
-        return _Elimination(self.n, pivots, pivots, floor)
-
-    def left_kernel(self, pivots: np.ndarray) -> np.ndarray:
-        # L has multipliers sub_i / p_i, so L^T v = e_n gives
-        # v_i = -(sub_i / p_i) v_{i+1} from v_{n-1} = 1
-        ratios = -self.t.sub / pivots[:-1]
-        return np.append(np.cumprod(ratios[::-1])[::-1], 1.0)
-
-    def is_irreducible(self, zero_tol: float) -> bool:
-        return bool(np.all(np.abs(self.t.sub) > zero_tol) and np.all(np.abs(self.t.sup) > zero_tol))
-
-    def singular(self, rank_tol: float) -> bool:
-        return tridiag_singular(self.t, rank_tol)
-
-    def inverse(self, rank_tol: float) -> np.ndarray | None:
-        """A^-1 as a dense matrix, or None when A is singular, which is
-        decided in O(n) before anything dense is built."""
-        if self.singular(rank_tol):
-            return None
-        return _Dense(self.t.to_dense()).inverse(rank_tol)
-
-    def sigma_min(self) -> float:
-        """Smallest singular value: lambda_min when A is symmetric positive
-        definite, else from the banded Jordan-Wielandt matrix."""
-        t = self.t
-        if np.array_equal(t.sub, t.sup) and (lam := self.lambda_min()) > 0.0:
-            return lam
-        import scipy.linalg
-
-        # The symmetric [[0, A], [A^T, 0]] has eigenvalues +-sigma_i(A), and
-        # interleaving the two halves makes it banded with three
-        # superdiagonals (Golub & Van Loan, sec. 8.6).  Its eigenvalue n, in
-        # ascending order, is sigma_min(A), to the accuracy of a dense SVD;
-        # the normal matrix A^T A would square the condition number.
-        band = np.zeros((4, 2 * self.n))
-        band[2, 1::2] = t.main
-        band[2, 2::2] = t.sub
-        band[0, 3::2] = t.sup
-        sigma = scipy.linalg.eigvals_banded(
-            band, select="i", select_range=(self.n, self.n), check_finite=False
-        )[0]
-        return abs(float(sigma))
-
-    def lambda_min(self) -> float:
-        """Smallest eigenvalue of a Z-matrix, or of a symmetric matrix,
-        through the symmetric matrix with off-diagonals sqrt(sub * sup),
-        which has the same spectrum; one Sturm bisection, kept for the
-        next call."""
-        if self._lambda_min is None:
-            coupling = np.maximum(self.t.sub * self.t.sup, 0.0)
-            self._lambda_min = _lowest_eigenvalue(self.t.main, coupling)
-        return self._lambda_min
-
-
 def _reciprocal(x: float) -> float | None:
     """1/x, or None when x is not positive: A is singular to working precision."""
     return 1.0 / x if x > 0.0 else None
 
 
-def _structure(a) -> _Dense | _Tridiagonal:
-    """The one place where the certificate engine picks the structure."""
-    if isinstance(a, TridiagonalMatrix):
-        return _Tridiagonal(a)
-    return _Dense(as_square_matrix(a))
+def _eliminate(s: _Storage, tols: Tolerances) -> _Elimination:
+    floor = tols.rank_tol * s.scale()
+    return _Elimination(s.n, *s.eliminate(floor), floor)
 
 
-def _eliminate(s: _Dense | _Tridiagonal, tols: Tolerances) -> _Elimination:
-    return s.eliminate(tols.rank_tol * s.scale())
-
-
-def _is_m(s: _Dense | _Tridiagonal, tols: Tolerances) -> bool:
+def _is_m(s: _Storage, tols: Tolerances) -> bool:
     return s.is_z(tols.zero_tol) and _eliminate(s, tols).all_positive
 
 
-def _kernel_3b(
-    ai: _Dense | _Tridiagonal, elim: _Elimination, tols: Tolerances
-) -> np.ndarray | None:
+def _kernel_3b(ai: _Storage, elim: _Elimination, tols: Tolerances) -> np.ndarray | None:
     """The positive left kernel vector of the Z-matrix A - I when its one
     elimination shows a singular irreducible M-matrix; else None."""
     if not elim.only_last_zero:

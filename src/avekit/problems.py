@@ -33,9 +33,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AveProblem, as_square_matrix, as_vector
+from .core import AveProblem, as_vector
 from .errors import ParseError, SchemaError
-from .linalg import TridiagonalMatrix, spectral_radius_nonneg
+from .linalg import TridiagonalMatrix, _square, spectral_radius_nonneg
 
 FILE_VERSION = 1
 
@@ -154,7 +154,7 @@ def convert_max_form(t, c) -> tuple[AveProblem, str]:
     solution y recovers the original unknown as x = -y.  The mapping note
     states exactly that.
     """
-    t = as_square_matrix(t)
+    t = _square(t)
     c = as_vector(c)
     if t.shape[0] != c.shape[0]:
         raise ValueError(

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import AveProblem, SignDiagonal, as_vector, residual, sign_diagonal
 from .errors import SingularSystem
-from .linalg import DEFAULT_RANK_TOL, TridiagonalMatrix, _vector, lu_factor, solve, tridiag_solve
+from .linalg import _vector
 
 # Componentwise slack when checking iterate monotonicity x^{k+1} >= x^k.
 MONOTONE_SLACK = 1e-12
@@ -72,16 +72,6 @@ class SolveReport:
         return self.residual_history[-1]
 
 
-def _newton_step(p: AveProblem, d: np.ndarray) -> np.ndarray:
-    """Solve [A - diag(d)] x = b for the next iterate."""
-    if isinstance(p.a, TridiagonalMatrix):
-        shifted = TridiagonalMatrix(p.a.sub, p.a.main - d, p.a.sup)
-        return tridiag_solve(shifted, p.b)
-    m = np.array(p.a)
-    m[np.diag_indices_from(m)] -= d
-    return solve(lu_factor(m, DEFAULT_RANK_TOL), p.b)
-
-
 def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """Run the generalized Newton method on ``p``.
 
@@ -89,19 +79,15 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
     criterion ||A x - |x| - b|| <= tol, and sign stabilization
     D(x^{k+1}) == D(x^k).  The residual rule decides ties, so a stabilized
     iterate within tol reports Converged.  A stabilized iterate above tol
-    reports SignStabilized: it solves [A - D] x = b with D = D(x), so it
-    solves the equation up to rounding and further steps would repeat the
-    same system.  A singular step matrix is reported as status
-    SingularStep rather than raised, since outside the certificates the
-    iteration may simply be undefined.  Each step is an LU factorization
-    with partial pivoting, dense or O(n) tridiagonal as ``p.a`` is stored,
-    and both decide a singular step by the singularity rule of
-    :mod:`avekit.linalg` at ``DEFAULT_RANK_TOL``, so the two storages stop
-    at the same step, except on a step within rounding of that threshold.
-    A column diagonally dominant tridiagonal step, as every step of the ex1
-    family is, is solved by cyclic reduction instead: the rule never calls
-    it singular, up to rounding of the threshold, and its solution agrees
-    with the pivoting loop's to rounding.
+    reports SignStabilized: its sign pattern repeated, so further steps
+    would solve the same system [A - D] x = b again.  The reported
+    residual gives its accuracy, which is poor when A is ill-conditioned.
+    A singular step matrix is reported as status SingularStep rather than
+    raised, since outside the certificates the iteration may simply be
+    undefined; so is a step whose solution overflows.  Each step is one
+    ``solve`` of the storage of ``p.a``, dense or O(n) tridiagonal, by the
+    singularity rule of :mod:`avekit.linalg`, so the two storages stop at
+    the same step, except on a step within rounding of its threshold.
     """
     x = _vector(cfg.x0 if cfg.x0 is not None else np.ones(p.n), p.n, "x0")
     max_iter = cfg.max_iter if cfg.max_iter is not None else 2 * p.n + 2
@@ -119,7 +105,7 @@ def gnm_solve(p: AveProblem, cfg: SolverConfig = SolverConfig()) -> SolveReport:
             status = SolveStatus.ITERATION_CAP
             break
         try:
-            x_new = _newton_step(p, d.diag.astype(float))
+            x_new = p.structure.shifted(-d.diag.astype(float)).solve(p.b)
         except SingularSystem:
             status = SolveStatus.SINGULAR_STEP
             break

@@ -14,6 +14,7 @@ from avekit.linalg import (
     DEFAULT_RANK_TOL,
     NOPIVOT_BLOCK,
     TridiagonalMatrix,
+    _lowest_eigenvalue,
     _singular,
     inverse,
     is_irreducible,
@@ -27,7 +28,6 @@ from avekit.linalg import (
     tridiag_singular,
     tridiag_solve,
 )
-from avekit.mclass import _lowest_eigenvalue
 from avekit.problems import gen_example1, gen_random_3a, gen_random_3b
 from avekit.solver import SolveStatus, gnm_solve
 from left_kernel import null_space_left

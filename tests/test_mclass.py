@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from avekit import mclass
+from avekit import linalg
+from avekit.errors import SingularSystem
 from avekit.linalg import (
     TridiagonalMatrix,
     is_irreducible,
@@ -208,13 +209,13 @@ def _path_laplacian_plus_identity(n):
 )
 def test_condition_3b_is_one_elimination(monkeypatch, name, a):
     calls = []
-    inner = getattr(mclass, name)
+    inner = getattr(linalg, name)
 
     def counted(*args):
         calls.append(name)
         return inner(*args)
 
-    monkeypatch.setattr(mclass, name, counted)
+    monkeypatch.setattr(linalg, name, counted)
     ok, v = check_condition_3b(a)
     assert ok and calls == [name]
     assert_allclose(v, np.ones(v.size), rtol=1e-12)
@@ -243,13 +244,13 @@ def test_ex1_diagnostics_match_closed_form(n, no_dense_tridiagonal):
 def test_symmetric_tridiagonal_diagnostics_bisect_once(monkeypatch):
     # sigma_min and lambda_min of a symmetric M-matrix are the same value
     calls = []
-    inner = mclass._lowest_eigenvalue
+    inner = linalg._lowest_eigenvalue
 
     def counted(*args):
         calls.append(args)
         return inner(*args)
 
-    monkeypatch.setattr(mclass, "_lowest_eigenvalue", counted)
+    monkeypatch.setattr(linalg, "_lowest_eigenvalue", counted)
     d = diagnostics(gen_example1(50).a)
     assert len(calls) == 1
     assert d.norm_a_inv == d.rho_abs_a_inv == pytest.approx(_ex1_inverse_norm(50), rel=1e-12)
@@ -435,10 +436,27 @@ def _tridiagonal_cases(rng):
         yield "3a", TridiagonalMatrix(np.zeros(n - 1), np.full(n, 2.0), np.full(n - 1, -10.0))
 
 
+def _shifted_solve(s, d, b):
+    try:
+        return s.shifted(-d).solve(b)
+    except SingularSystem:
+        return None
+
+
 def test_tridiagonal_engine_matches_dense_engine():
     rng = np.random.default_rng(3)
     kinds = set()
     for kind, t in _tridiagonal_cases(rng):
+        # the storages' own operations: a product, and a Newton step's solve
+        # with A - diag(d) for a fixed sign vector d
+        banded, dense = linalg._structure(t), linalg._structure(t.to_dense())
+        x = np.linspace(-1.0, 1.0, t.n)
+        assert_allclose(banded.matvec(x), dense.matvec(x), rtol=0, atol=1e-12 * t.scale)
+        d = np.where(np.arange(t.n) % 2, 1.0, -1.0)
+        step, step_dense = (_shifted_solve(s, d, np.ones(t.n)) for s in (banded, dense))
+        assert (step is None) == (step_dense is None), (kind, t.n)
+        if step_dense is not None:
+            assert np.abs(step - step_dense).max() <= 1e-12 * np.abs(step_dense).max(), (kind, t.n)
         got, want = diagnostics(t), diagnostics(t.to_dense())
         assert (got.is_z, got.satisfies_3a, got.satisfies_3b) == (
             want.is_z,

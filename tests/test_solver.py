@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from avekit.cli import EXIT_CAP, main
+from avekit.cli import EXIT_CAP, EXIT_SINGULAR, main
 from avekit.core import AveProblem, residual, sign_diagonal
 from avekit.linalg import TridiagonalMatrix
 from avekit.mclass import diagnostics, is_m_matrix
@@ -56,6 +56,41 @@ def test_singular_step_is_reported_not_raised():
     rep = gnm_solve(p, SolverConfig(x0=np.array([1.0])))
     assert rep.status is SolveStatus.SINGULAR_STEP
     assert rep.iterations == 0
+
+
+def _upper_chain(n, tridiagonal):
+    # A = 2I - 10U with U the unit superdiagonal holds (3a), and ||A^-1||
+    # grows like 5^n, so the iterates grow with n; x* = linspace(-1, 1, n)
+    t = TridiagonalMatrix(np.zeros(n - 1), np.full(n, 2.0), np.full(n - 1, -10.0))
+    x = np.linspace(-1.0, 1.0, n)
+    return AveProblem(t if tridiagonal else t.to_dense(), t.matvec(x) - np.abs(x))
+
+
+@pytest.mark.parametrize("tridiagonal", [False, True])
+@pytest.mark.parametrize("n", [200, 300])
+def test_residual_of_a_huge_iterate_is_finite(n, tridiagonal):
+    # the residuals' sums of squares overflow, which warns without the
+    # rescaled norm; warnings are errors in this suite
+    rep = gnm_solve(_upper_chain(n, tridiagonal))
+    assert rep.status is SolveStatus.SIGN_STABILIZED
+    assert np.isfinite(rep.residual_history).all()
+
+
+@pytest.mark.parametrize("tridiagonal", [False, True])
+def test_overflowing_step_is_a_singular_step(tmp_path, capsys, tridiagonal):
+    # at n = 400 the first step's solution overflows to inf
+    p = _upper_chain(400, tridiagonal)
+    rep = gnm_solve(p)
+    assert rep.status is SolveStatus.SINGULAR_STEP
+    assert rep.iterations == 0
+    path = tmp_path / "chain.ave"
+    save(path, p)
+    assert main(["solve", str(path)]) == EXIT_SINGULAR
+    assert "status=SingularStep" in capsys.readouterr().out
+    assert main(["classify", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: UniqueSolution (basis: Condition3a)\n" in out
+    assert "solution:" not in out
 
 
 def test_iteration_cap_on_unsolvable_cycling_problem():
