@@ -1,7 +1,7 @@
 """Dense and tridiagonal linear-system kernels plus spectral diagnostics.
 
 Every kernel here is written out in numpy: the blocked LU, with partial
-pivoting (:func:`lu_factor`) or without (:func:`lu_nopivot`), and its
+pivoting (:func:`lu_factor`) or without (``_Dense.eliminate``), and its
 blocked substitutions, the O(n) tridiagonal recurrences, the shared-prefix
 elimination and solve of ``A - diag(s)`` over sign patterns, one power
 iteration, :func:`spectral_radius_nonneg`, which gives ``gen_random_3a``
@@ -16,11 +16,12 @@ commands, only ``oracle`` on a singular pattern with a kernel of dimension
 
 The storage of a matrix, dense or :class:`TridiagonalMatrix`, is picked
 in one place, :func:`_structure`; the problem, the Newton step and the
-certificates ask the ``_Dense`` or ``_Tridiagonal`` it returns.
+certificates ask the ``_Dense`` or ``_Tridiagonal`` it returns.  Each
+kernel that only one storage uses is that class's method.
 
 One rule decides singularity for every partial-pivoting LU, dense
 (:func:`lu_factor`), over sign patterns (:func:`pattern_solve`, which
-also solves the nonsingular ones) or tridiagonal (:func:`tridiag_singular`
+also solves the nonsingular ones) or tridiagonal (``_Tridiagonal.singular``
 and :func:`tridiag_solve`, one elimination): a matrix is singular when it
 is zero or when a pivot magnitude falls below ``rank_tol`` times its
 largest entry magnitude.  :func:`lu_factor` and :func:`pattern_solve`
@@ -286,21 +287,6 @@ def inverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return _lu_solve(f, np.eye(f.n))
 
 
-def lu_nopivot(m, floor: float) -> tuple[np.ndarray, int]:
-    """Gaussian elimination without row exchanges, blocked, by the
-    elimination loop of :func:`lu_factor`.
-
-    Returns the packed factors (unit-lower multipliers strictly below the
-    diagonal, U on and above it) and the number k of leading pivots above
-    ``floor``.  Elimination stops at the first pivot that is not, so when
-    k < n only pivots 0..k and the multipliers of columns 0..k-1 are
-    meaningful.  For a Z-matrix the pivots are the ratios of consecutive
-    leading principal minors.
-    """
-    packed, _, k = _factor(_square(m), floor)
-    return packed, k
-
-
 @dataclass(frozen=True)
 class TridiagonalMatrix:
     """Banded storage for a tridiagonal matrix: sub, main, super diagonals."""
@@ -353,23 +339,6 @@ class TridiagonalMatrix:
         if self.n > 1:
             d += np.diag(self.sub, -1) + np.diag(self.sup, 1)
         return d
-
-
-def tridiag_pivots(t: TridiagonalMatrix, floor: float) -> np.ndarray:
-    """Pivots of LU without pivoting in O(n): p_0 = m_0 and
-    p_i = m_i - sub_{i-1} sup_{i-1} / p_{i-1}.
-
-    Stops after the first pivot that is not above ``floor``, so every
-    returned pivot but the last is above it.
-    """
-    main = t.main.tolist()
-    coupling = (t.sub * t.sup).tolist()
-    pivots = [main[0]]
-    for m, c in zip(main[1:], coupling):
-        if not pivots[-1] > floor:
-            break
-        pivots.append(m - c / pivots[-1])
-    return np.array(pivots)
 
 
 def _tridiag_eliminate(t: TridiagonalMatrix, rhs: list[float], rank_tol: float):
@@ -463,12 +432,6 @@ def _cyclic_reduction(t: TridiagonalMatrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def tridiag_singular(t: TridiagonalMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> bool:
-    """Whether the partial-pivoting elimination of a tridiagonal matrix
-    flags it singular, in O(n) time and memory."""
-    return _tridiag_eliminate(t, [0.0] * t.n, rank_tol)[3]
-
-
 def tridiag_solve(t: TridiagonalMatrix, rhs) -> np.ndarray:
     """Solve a tridiagonal system in O(n); raises SingularSystem when the
     partial-pivoting elimination flags it singular at ``DEFAULT_RANK_TOL``.
@@ -552,18 +515,6 @@ def spectral_radius_nonneg(
     return PowerIterationResult(max(est - shift, 0.0), False, max_iter)
 
 
-def is_irreducible(m, zero_tol: float = 0.0) -> bool:
-    """True iff the directed graph of off-diagonal entries above ``zero_tol``
-    in magnitude is strongly connected."""
-    a = _square(m)
-    n = a.shape[0]
-    if n == 1:
-        return True
-    adj = np.abs(a) > zero_tol
-    np.fill_diagonal(adj, False)
-    return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
-
-
 def _reaches_all(adj: np.ndarray, start: int) -> bool:
     seen = np.zeros(adj.shape[0], dtype=bool)
     seen[start] = True
@@ -621,7 +572,12 @@ class _Dense(_Storage):
         return bool(np.all(np.abs(self.a - self.a.T) <= tol))
 
     def eliminate(self, floor: float) -> tuple[np.ndarray, np.ndarray]:
-        packed, k = lu_nopivot(self.a, floor)
+        """LU without row exchanges, by the loop of :func:`lu_factor`,
+        stopped at the first pivot not above ``floor``: the pivots up to
+        and including that one, and the packed factors, whose multipliers
+        are meaningful in the columns before it.  For a Z-matrix the
+        pivots are the ratios of consecutive leading principal minors."""
+        packed, _, k = _factor(self.a, floor)
         return np.diag(packed)[: k + 1], packed
 
     def left_kernel(self, packed: np.ndarray) -> np.ndarray:
@@ -632,7 +588,13 @@ class _Dense(_Storage):
         return triangular_solve(packed, e_n, lower=True, trans=True)
 
     def is_irreducible(self, zero_tol: float) -> bool:
-        return is_irreducible(self.a, zero_tol)
+        """Whether the directed graph of the off-diagonal entries above
+        ``zero_tol`` in magnitude is strongly connected."""
+        if self.n == 1:
+            return True
+        adj = np.abs(self.a) > zero_tol
+        np.fill_diagonal(adj, False)
+        return _reaches_all(adj, 0) and _reaches_all(adj.T, 0)
 
     def singular(self, rank_tol: float) -> bool:
         return lu_factor(self.a, rank_tol).singular
@@ -722,7 +684,16 @@ class _Tridiagonal(_Storage):
         return bool(np.all(np.abs(self.a.sub - self.a.sup) <= tol))
 
     def eliminate(self, floor: float) -> tuple[np.ndarray, np.ndarray]:
-        pivots = tridiag_pivots(self.a, floor)
+        """The pivots of :meth:`_Dense.eliminate` in O(n), p_0 = m_0 and
+        p_i = m_i - sub_{i-1} sup_{i-1} / p_{i-1}; they are the factors too."""
+        main = self.a.main.tolist()
+        coupling = (self.a.sub * self.a.sup).tolist()
+        pivots = [main[0]]
+        for m, c in zip(main[1:], coupling):
+            if not pivots[-1] > floor:
+                break
+            pivots.append(m - c / pivots[-1])
+        pivots = np.array(pivots)
         return pivots, pivots
 
     def left_kernel(self, pivots: np.ndarray) -> np.ndarray:
@@ -735,7 +706,8 @@ class _Tridiagonal(_Storage):
         return bool(np.all(np.abs(self.a.sub) > zero_tol) and np.all(np.abs(self.a.sup) > zero_tol))
 
     def singular(self, rank_tol: float) -> bool:
-        return tridiag_singular(self.a, rank_tol)
+        """The verdict of the partial-pivoting elimination, in O(n)."""
+        return _tridiag_eliminate(self.a, [0.0] * self.n, rank_tol)[3]
 
     def inverse(self, rank_tol: float) -> np.ndarray | None:
         """A^-1 as a dense matrix, or None when A is singular, which is

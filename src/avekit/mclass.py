@@ -16,8 +16,10 @@ the factors positive, and A - I irreducible.  No shift is factored: the
 leading block B is a nonsingular M-matrix, 0 <= (B + eI)^-1 <= B^-1 and
 the last row and column are <= 0, so a shift e >= 0 adds at least e to
 the last pivot; irreducibility then makes every nonzero nonnegative
-diagonal shift nonsingular (ibid., ch. 6).  Every operation on A asks
-the storage that :mod:`avekit.linalg` picks for it, dense or
+diagonal shift nonsingular (ibid., ch. 6).  ``_certify`` is the one
+place these verdicts are decided: :func:`is_m_matrix`, both certificates
+and :func:`diagnostics` read it, on A - I and on A.  Every operation on A
+asks the storage that :mod:`avekit.linalg` picks for it, dense or
 :class:`~avekit.linalg.TridiagonalMatrix`; on tridiagonal input every
 certificate step is O(n) in memory.
 """
@@ -75,52 +77,30 @@ class ConditionReport:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class _Elimination:
-    """Leading pivots of LU without pivoting, computed up to and including
-    the first that is not above ``floor``, and the factors behind them."""
-
-    n: int
-    pivots: np.ndarray
-    factors: np.ndarray
-    floor: float
-
-    @property
-    def all_positive(self) -> bool:
-        return self.pivots.size == self.n and bool(self.pivots[-1] > self.floor)
-
-    @property
-    def only_last_zero(self) -> bool:
-        return self.pivots.size == self.n and bool(abs(self.pivots[-1]) <= self.floor)
-
-
 def _reciprocal(x: float) -> float | None:
     """1/x, or None when x is not positive: A is singular to working precision."""
     return 1.0 / x if x > 0.0 else None
 
 
-def _eliminate(s: _Storage, tols: Tolerances) -> _Elimination:
+def _certify(s: _Storage, tols: Tolerances) -> tuple[bool, bool, np.ndarray | None]:
+    """Whether ``s`` is a Z-matrix, whether it is a nonsingular M-matrix,
+    and its positive left kernel vector when it is a singular irreducible
+    M-matrix by the criterion above, else None; from one elimination and,
+    only when just the last pivot is zero, one left-kernel solve."""
+    if not s.is_z(tols.zero_tol):
+        return False, False, None
     floor = tols.rank_tol * s.scale()
-    return _Elimination(s.n, *s.eliminate(floor), floor)
-
-
-def _is_m(s: _Storage, tols: Tolerances) -> bool:
-    return s.is_z(tols.zero_tol) and _eliminate(s, tols).all_positive
-
-
-def _kernel_3b(ai: _Storage, elim: _Elimination, tols: Tolerances) -> np.ndarray | None:
-    """The positive left kernel vector of the Z-matrix A - I when its one
-    elimination shows a singular irreducible M-matrix; else None."""
-    if not elim.only_last_zero:
-        return None
-    v = ai.left_kernel(elim.factors)
+    pivots, factors = s.eliminate(floor)
+    if pivots.size < s.n or pivots[-1] > floor:
+        return True, pivots.size == s.n, None
+    if not abs(pivots[-1]) <= floor:
+        return True, False, None
+    v = s.left_kernel(factors)
     v = v / v[np.argmax(np.abs(v))]
-    if not (v > 0).all():
-        return None
-    if not ai.is_irreducible(tols.zero_tol):
-        return None
+    if not (v > 0).all() or not s.is_irreducible(tols.zero_tol):
+        return True, False, None
     v.setflags(write=False)
-    return v
+    return True, False, v
 
 
 def is_z_matrix(m, zero_tol: float = DEFAULT_TOLS.zero_tol) -> bool:
@@ -138,12 +118,12 @@ def is_m_matrix(m, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """True iff m is a Z-matrix whose pivots without pivoting all exceed
     rank_tol times its largest entry magnitude (a nonsingular M-matrix);
     singular inputs are False."""
-    return _is_m(_structure(m), tols)
+    return _certify(_structure(m), tols)[1]
 
 
 def check_condition_3a(a, tols: Tolerances = DEFAULT_TOLS) -> bool:
     """Certificate (3a): A - I is a nonsingular M-matrix."""
-    return _is_m(_structure(a).shifted(-1.0), tols)
+    return _certify(_structure(a).shifted(-1.0), tols)[1]
 
 
 def check_condition_3b(
@@ -156,10 +136,7 @@ def check_condition_3b(
     and v, its left null vector, is positive; else (False, None).  The
     criterion is sufficient and rejects reducible singular matrices.
     """
-    ai = _structure(a).shifted(-1.0)
-    if not ai.is_z(tols.zero_tol):
-        return False, None
-    v = _kernel_3b(ai, _eliminate(ai, tols), tols)
+    v = _certify(_structure(a).shifted(-1.0), tols)[2]
     return v is not None, v
 
 
@@ -177,15 +154,7 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
     s = _structure(a)
     ai = s.shifted(-1.0)
     notes: list[str] = []
-
-    z = ai.is_z(tols.zero_tol)
-    s3a = False
-    v = None
-    if z:
-        elim = _eliminate(ai, tols)
-        s3a = elim.all_positive
-        if not s3a:
-            v = _kernel_3b(ai, elim, tols)
+    z, s3a, v = _certify(ai, tols)
     s3b = v is not None
 
     if not z:
@@ -208,7 +177,7 @@ def diagnostics(a, tols: Tolerances = DEFAULT_TOLS) -> ConditionReport:
     # A = (A - I) + I is a nonsingular M-matrix whenever A - I is an
     # M-matrix, singular or not, so only the other cases need a test; A
     # has the off-diagonal entries of A - I, so it is a Z-matrix iff z
-    if s3a or s3b or (z and _eliminate(s, tols).all_positive):
+    if s3a or s3b or (z and _certify(s, tols)[1]):
         norm_a_inv = _reciprocal(s.sigma_min())
         # under (3b), lambda_min(A) = 1 + lambda_min(A - I) = 1
         rho_abs_a_inv = 1.0 if s3b else _reciprocal(s.lambda_min())

@@ -174,7 +174,13 @@ def _fmt_line(values: np.ndarray) -> str:
 
 def save(target, p: AveProblem, metadata: dict[str, str] | None = None) -> None:
     """Write ``p`` in minus convention with one ``meta`` line per metadata
-    entry; accepts a path or a text stream."""
+    entry; accepts a path or a text stream.  Metadata that would not load
+    back as it is raises ValueError before anything is written."""
+    for key, value in (metadata or {}).items():
+        if key.split() != [key] or "#" in key:
+            raise ValueError(f"metadata key {key!r} is empty or holds whitespace or '#'")
+        if "#" in value or value != " ".join(value.split()):
+            raise ValueError(f"metadata value of {key!r} holds '#', a line break or extra spaces")
     lines = [
         f"version {FILE_VERSION}",
         "convention minus",

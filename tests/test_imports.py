@@ -116,3 +116,30 @@ def test_no_module_imports_scipy_at_import_time(path):
         if name.split(".")[0] == "scipy"
     ]
     assert offending == []
+
+
+def _tridiagonal_isinstance_calls(node, scope):
+    """(scope, line) of every ``isinstance(..., TridiagonalMatrix)`` call,
+    scope being the name of the innermost enclosing function or class."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id == "isinstance"
+            and len(child.args) == 2
+            and "TridiagonalMatrix" in ast.unparse(child.args[1])
+        ):
+            yield inner, child.lineno
+        yield from _tridiagonal_isinstance_calls(child, inner)
+
+
+def test_storage_is_checked_only_in_the_picker():
+    found = [
+        (path.name, scope, line)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, line in _tridiagonal_isinstance_calls(ast.parse(path.read_text(encoding="utf-8")), None)
+    ]
+    assert [(name, scope) for name, scope, _ in found] == [("linalg.py", "_structure")], found

@@ -16,16 +16,13 @@ from avekit.linalg import (
     TridiagonalMatrix,
     _lowest_eigenvalue,
     _singular,
+    _structure,
     inverse,
-    is_irreducible,
     lu_factor,
-    lu_nopivot,
     pattern_solve,
     solve,
     spectral_norm,
     spectral_radius_nonneg,
-    tridiag_pivots,
-    tridiag_singular,
     tridiag_solve,
 )
 from avekit.problems import gen_example1, gen_random_3a, gen_random_3b
@@ -262,40 +259,47 @@ def test_pattern_solve_matches_lu_factor_and_solve():
     assert total > 5000 and mixed > 50
 
 
+def _nopivot(m, floor):
+    """The packed factors of LU without pivoting and the number k of
+    leading pivots above ``floor``."""
+    pivots, packed = _structure(m).eliminate(floor)
+    return packed, pivots.size - (not pivots[-1] > floor)
+
+
 def test_lu_nopivot_reconstructs_across_blocks():
     # diagonally dominant, so no pivot vanishes; n spans several panels
     rng = np.random.default_rng(21)
     n = 75
     assert n > 2 * NOPIVOT_BLOCK
     a = rng.uniform(-1.0, 1.0, (n, n)) + n * np.eye(n)
-    packed, k = lu_nopivot(a, 0.0)
+    packed, k = _nopivot(a, 0.0)
     assert k == n
     lower = np.tril(packed, -1) + np.eye(n)
     assert np.abs(lower @ np.triu(packed) - a).max() <= 1e-12 * n
 
 
 def test_lu_nopivot_stops_at_first_pivot_not_above_floor():
-    packed, k = lu_nopivot([[1.0, 2.0, 0.0], [3.0, 4.0, 1.0], [0.0, 1.0, 5.0]], 0.0)
+    packed, k = _nopivot([[1.0, 2.0, 0.0], [3.0, 4.0, 1.0], [0.0, 1.0, 5.0]], 0.0)
     assert k == 1
     assert packed[1, 1] == pytest.approx(-2.0)
-    assert lu_nopivot([[0.0, 1.0], [1.0, 0.0]], 0.0)[1] == 0
+    assert _nopivot([[0.0, 1.0], [1.0, 0.0]], 0.0)[1] == 0
 
 
 def test_tridiag_pivots_match_dense_elimination():
     rng = np.random.default_rng(22)
     n = 40
     t = TridiagonalMatrix(-rng.uniform(0.1, 1.0, n - 1), rng.uniform(2.0, 3.0, n), -rng.uniform(0.1, 1.0, n - 1))
-    packed, k = lu_nopivot(t.to_dense(), 0.0)
+    packed, k = _nopivot(t.to_dense(), 0.0)
     assert k == n
-    assert_allclose(tridiag_pivots(t, 0.0), np.diag(packed), rtol=1e-13)
+    assert_allclose(_structure(t).eliminate(0.0)[0], np.diag(packed), rtol=1e-13)
     # ex1's pivots p_i = 7 - 4 / p_{i-1} fall to the fixed point (7 + sqrt(33)) / 2
-    ex1 = tridiag_pivots(TridiagonalMatrix([-2.0] * 19, [7.0] * 20, [-2.0] * 19), 0.0)
+    ex1 = _structure(TridiagonalMatrix([-2.0] * 19, [7.0] * 20, [-2.0] * 19)).eliminate(0.0)[0]
     assert ex1[-1] == pytest.approx((7.0 + np.sqrt(33.0)) / 2.0, rel=1e-12)
 
 
 def test_tridiag_pivots_stop_after_first_failure():
     t = TridiagonalMatrix([-1.0, -1.0, -1.0], [1.0, 1.0, 2.0, 2.0], [-1.0, -1.0, -1.0])
-    assert_allclose(tridiag_pivots(t, 0.0), [1.0, 0.0])
+    assert_allclose(_structure(t).eliminate(0.0)[0], [1.0, 0.0])
 
 
 # -------------------------------------------------------------------- solve
@@ -415,8 +419,10 @@ def test_tridiag_agrees_with_dense_solver():
         b = rng.normal(size=n)
         f = lu_factor(t.to_dense())
         singular += f.singular
+        # lu_factor's verdict at each tolerance, from its one factorization
+        pivots, scale = np.abs(np.diag(f.packed)), np.abs(t.to_dense()).max()
         for tol in (0.0, 1e-10, 1e-6, 0.3):
-            assert tridiag_singular(t, tol) == lu_factor(t.to_dense(), tol).singular
+            assert _structure(t).singular(tol) == _singular(pivots, scale, tol)
         if f.singular:
             with pytest.raises(SingularSystem):
                 tridiag_solve(t, b)
@@ -641,10 +647,10 @@ def test_null_space_residual_bound():
 
 
 def test_irreducible_cases():
-    assert is_irreducible([[2.0, -2.0], [-2.0, 2.0]])
-    assert not is_irreducible(np.diag([1.0, 2.0]))
-    assert not is_irreducible([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]])
-    assert is_irreducible([[5.0]])
+    assert _structure([[2.0, -2.0], [-2.0, 2.0]]).is_irreducible(0.0)
+    assert not _structure(np.diag([1.0, 2.0])).is_irreducible(0.0)
+    assert not _structure([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]).is_irreducible(0.0)
+    assert _structure([[5.0]]).is_irreducible(0.0)
 
 
 def test_irreducible_cycle_graph():
@@ -652,6 +658,6 @@ def test_irreducible_cycle_graph():
     a = np.zeros((4, 4))
     for i in range(4):
         a[i, (i + 1) % 4] = -1.0
-    assert is_irreducible(a)
+    assert _structure(a).is_irreducible(0.0)
     a[0, 1] = 0.0  # break the cycle
-    assert not is_irreducible(a)
+    assert not _structure(a).is_irreducible(0.0)

@@ -8,11 +8,7 @@ from numpy.testing import assert_allclose
 
 from avekit import linalg
 from avekit.errors import SingularSystem
-from avekit.linalg import (
-    TridiagonalMatrix,
-    is_irreducible,
-    lu_factor,
-)
+from avekit.linalg import TridiagonalMatrix, _structure, lu_factor
 from avekit.mclass import (
     Tolerances,
     check_condition_3a,
@@ -201,26 +197,27 @@ def _path_laplacian_plus_identity(n):
 
 
 @pytest.mark.parametrize(
-    "name, a",
+    "storage, a",
     [
-        ("lu_nopivot", gen_example_k(4).dense_a()),
-        ("tridiag_pivots", _path_laplacian_plus_identity(20)),
+        (linalg._Dense, gen_example_k(4).dense_a()),
+        (linalg._Tridiagonal, _path_laplacian_plus_identity(20)),
     ],
+    ids=["dense", "tridiagonal"],
 )
-def test_condition_3b_is_one_elimination(monkeypatch, name, a):
+def test_condition_3b_is_one_elimination(monkeypatch, storage, a):
     calls = []
-    inner = getattr(linalg, name)
+    inner = storage.eliminate
 
     def counted(*args):
-        calls.append(name)
+        calls.append(storage)
         return inner(*args)
 
-    monkeypatch.setattr(linalg, name, counted)
+    monkeypatch.setattr(storage, "eliminate", counted)
     ok, v = check_condition_3b(a)
-    assert ok and calls == [name]
+    assert ok and calls == [storage]
     assert_allclose(v, np.ones(v.size), rtol=1e-12)
     calls.clear()
-    assert diagnostics(a).satisfies_3b and calls == [name]
+    assert diagnostics(a).satisfies_3b and calls == [storage]
 
 
 # ------------------------------------------------ one-pass certificate engine
@@ -365,7 +362,7 @@ def _reference_3b(a, tols):
     ns = null_space_left(ai, tols.rank_tol)
     if ns.dimension != 1 or not (ns.basis_vector > 0).all():
         return False, None
-    if not is_irreducible(ai, tols.zero_tol):
+    if not _structure(ai).is_irreducible(tols.zero_tol):
         return False, None
     scale = float(np.abs(ai).max())
     eps = EPS_SHIFT_REL * (scale if scale > 0.0 else 1.0)
@@ -404,6 +401,13 @@ def test_pivot_test_matches_inverse_entry_test():
         assert ok == ref_ok
         if ok:
             assert np.abs(v - ref_v).max() <= 1e-10
+        # diagnostics reads the same certificate routine
+        d = diagnostics(a)
+        assert d.satisfies_3a == check_condition_3a(a)
+        assert d.satisfies_3b == ok
+        assert (d.v is None) == (v is None)
+        if ok:
+            assert np.array_equal(d.v, v)
         count += 1
     assert count == 4 * 59 + 4 + 24
 

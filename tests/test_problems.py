@@ -403,3 +403,30 @@ def test_stream_round_trip():
     save(buf, gen_example_k(3))
     p, _ = load(io.StringIO(buf.getvalue()))
     assert_allclose(p.a, gen_example_k(3).dense_a())
+
+
+@pytest.mark.parametrize(
+    "metadata, key",
+    [
+        ({"note": "a#b"}, "note"),
+        ({"note": "two\nlines"}, "note"),
+        ({"my key": "v"}, "my key"),
+        ({"note": "  two  spaces "}, "note"),
+        ({"": "v"}, "''"),
+        ({"a#b": "v"}, "a#b"),
+        ({"tab\tkey": "v"}, "tab"),
+        ({"note": "carriage\rreturn"}, "note"),
+    ],
+)
+def test_save_refuses_metadata_that_does_not_load_back(metadata, key):
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=key):
+        save(buf, gen_example_k(3), metadata)
+    assert buf.getvalue() == ""
+
+
+def test_valid_metadata_round_trips():
+    metadata = {"family": "rand3a", "n": "20", "note": "solution map: x = -y", "empty": ""}
+    buf = io.StringIO()
+    save(buf, gen_example_k(3), metadata)
+    assert load(io.StringIO(buf.getvalue()))[1] == metadata
