@@ -1,8 +1,11 @@
 """Dense and tridiagonal linear-system kernels plus spectral diagnostics.
 
-Every kernel here is written out in numpy: the blocked LU, with partial
-pivoting (:func:`lu_factor`) or without (``_Dense.eliminate``), and its
-blocked substitutions, the O(n) tridiagonal recurrences, the shared-prefix
+Every kernel here is written out in numpy.  Each storage has one LU loop
+with two modes, partial pivoting or none: the blocked :func:`_factor` for
+a dense matrix, the O(n) :func:`_tridiag_eliminate` for a tridiagonal one.
+Without pivoting both round each pivot alike, so the certificate pivots of
+a tridiagonal matrix and of its dense copy are equal bit for bit.  Beside
+them are the blocked substitutions, cyclic reduction, the shared-prefix
 elimination and solve of ``A - diag(s)`` over sign patterns, one power
 iteration, :func:`spectral_radius_nonneg`, which gives ``gen_random_3a``
 its pinned draws, and the irreducibility check.  Their exact behavior
@@ -19,16 +22,14 @@ in one place, :func:`_structure`; the problem, the Newton step and the
 certificates ask the ``_Dense`` or ``_Tridiagonal`` it returns.  Each
 kernel that only one storage uses is that class's method.
 
-One rule decides singularity for every partial-pivoting LU, dense
-(:func:`lu_factor`), over sign patterns (:func:`pattern_solve`, which
-also solves the nonsingular ones) or tridiagonal (``_Tridiagonal.singular``
-and :func:`tridiag_solve`, one elimination): a matrix is singular when it
-is zero or when a pivot magnitude falls below ``rank_tol`` times its
-largest entry magnitude.  :func:`lu_factor` and :func:`pattern_solve`
-pick getrf's pivot rows but round as their own loops do (the first is
-blocked, the second is not, and getrf scales by the reciprocal pivot),
-so they and getrf can differ only on a matrix with a pivot within
-rounding of that threshold.
+One rule decides singularity for every partial-pivoting LU, of either
+loop or over sign patterns (:func:`pattern_solve`, which also solves the
+nonsingular ones): a matrix is singular when it is zero or when a pivot
+magnitude falls below ``rank_tol`` times its largest entry magnitude.
+:func:`lu_factor` and :func:`pattern_solve` pick getrf's pivot rows but
+round as their own loops do (the first is blocked, the second is not,
+and getrf scales by the reciprocal pivot), so they and getrf can differ
+only on a matrix with a pivot within rounding of that threshold.
 
 A tridiagonal matrix whose every column is strictly diagonally dominant,
 by a margin above ``rank_tol`` times its largest entry, is solved by
@@ -341,24 +342,28 @@ class TridiagonalMatrix:
         return d
 
 
-def _tridiag_eliminate(t: TridiagonalMatrix, rhs: list[float], rank_tol: float):
-    """Partial-pivoting elimination of a tridiagonal matrix in O(n), in the
-    order of LAPACK gtsv: each row operation is applied to the list
-    ``rhs`` (of length at least n) in place as it is made.
+def _tridiag_eliminate(t: TridiagonalMatrix, rhs: list[float], floor: float | None):
+    """The one LU loop of a tridiagonal matrix, O(n), with the two modes of
+    :func:`_factor`; each row operation is applied to the list ``rhs`` (of
+    length at least n) in place as it is made.
 
-    Step i eliminates the subdiagonal entry of column i with row i or row
-    i + 1 as pivot row, whichever has the larger entry in that column (row
-    i on a tie), which are the row choices of getrf on the dense matrix.
-    Returns U's diagonal ``pivots`` and its two superdiagonals, ``sup`` and
-    the fill ``sup2``, each padded with zeros to length n, and whether the
-    matrix is singular by the rule of this module.
+    With ``floor`` None, step i takes row i or row i + 1 as pivot row,
+    whichever has the larger entry in column i (row i on a tie): the order
+    of LAPACK gtsv and the row choices of getrf on the dense matrix.
+    Otherwise no rows are interchanged, elimination stops at the first
+    pivot not above ``floor``, and each pivot m_i - (sub/p) sup is rounded
+    as the dense loop rounds it.  Returns U's diagonal ``pivots`` and its
+    two superdiagonals, ``sup`` and the fill ``sup2``, each padded with
+    zeros to length n, and the number of steps taken.
     """
     pivots = t.main.tolist()
     sup = t.sup.tolist() + [0.0]
     sup2 = [0.0] * t.n
     for i, low in enumerate(t.sub.tolist()):
         p = pivots[i]
-        if abs(p) >= abs(low):
+        if floor is not None and not p > floor:
+            return pivots, sup, sup2, i
+        if floor is not None or abs(p) >= abs(low):
             if p != 0.0:
                 f = low / p
                 pivots[i + 1] -= f * sup[i]
@@ -370,8 +375,8 @@ def _tridiag_eliminate(t: TridiagonalMatrix, rhs: list[float], rank_tol: float):
             sup2[i] = sup[i + 1]
             sup[i + 1] = -f * sup[i + 1]
             rhs[i], rhs[i + 1] = rhs[i + 1], rhs[i] - f * rhs[i + 1]
-    singular = bool(_singular(np.abs(np.array(pivots)), t.scale, rank_tol))
-    return pivots, sup, sup2, singular
+    stopped = floor is not None and not pivots[-1] > floor
+    return pivots, sup, sup2, t.n - stopped
 
 
 def _column_dominant(t: TridiagonalMatrix, rank_tol: float) -> bool:
@@ -448,8 +453,8 @@ def tridiag_solve(t: TridiagonalMatrix, rhs) -> np.ndarray:
     if _column_dominant(t, DEFAULT_RANK_TOL):
         return _cyclic_reduction(t, b)
     x = b.tolist() + [0.0, 0.0]
-    pivots, sup, sup2, singular = _tridiag_eliminate(t, x, DEFAULT_RANK_TOL)
-    if singular:
+    pivots, sup, sup2, _ = _tridiag_eliminate(t, x, None)
+    if _singular(np.abs(pivots), t.scale, DEFAULT_RANK_TOL):
         raise SingularSystem(f"matrix is singular to rank tolerance {DEFAULT_RANK_TOL:g}")
     for i in range(n - 1, -1, -1):
         x[i] = (x[i] - sup[i] * x[i + 1] - sup2[i] * x[i + 2]) / pivots[i]
@@ -684,16 +689,11 @@ class _Tridiagonal(_Storage):
         return bool(np.all(np.abs(self.a.sub - self.a.sup) <= tol))
 
     def eliminate(self, floor: float) -> tuple[np.ndarray, np.ndarray]:
-        """The pivots of :meth:`_Dense.eliminate` in O(n), p_0 = m_0 and
-        p_i = m_i - sub_{i-1} sup_{i-1} / p_{i-1}; they are the factors too."""
-        main = self.a.main.tolist()
-        coupling = (self.a.sub * self.a.sup).tolist()
-        pivots = [main[0]]
-        for m, c in zip(main[1:], coupling):
-            if not pivots[-1] > floor:
-                break
-            pivots.append(m - c / pivots[-1])
-        pivots = np.array(pivots)
+        """The pivots of :meth:`_Dense.eliminate`, bit for bit, from the
+        pivot-free mode of :func:`_tridiag_eliminate`; they are the
+        factors too."""
+        pivots, _, _, k = _tridiag_eliminate(self.a, [0.0] * self.n, floor)
+        pivots = np.array(pivots[: k + 1])
         return pivots, pivots
 
     def left_kernel(self, pivots: np.ndarray) -> np.ndarray:
@@ -707,7 +707,8 @@ class _Tridiagonal(_Storage):
 
     def singular(self, rank_tol: float) -> bool:
         """The verdict of the partial-pivoting elimination, in O(n)."""
-        return _tridiag_eliminate(self.a, [0.0] * self.n, rank_tol)[3]
+        pivots = _tridiag_eliminate(self.a, [0.0] * self.n, None)[0]
+        return bool(_singular(np.abs(pivots), self.a.scale, rank_tol))
 
     def inverse(self, rank_tol: float) -> np.ndarray | None:
         """A^-1 as a dense matrix, or None when A is singular, which is

@@ -261,7 +261,7 @@ class _TokenReader:
         """The next ``count`` tokens as finite floats, converted a line at
         a time; an error names the line of the first bad token.  Memory
         follows the tokens read, not ``count``, which comes from the file."""
-        rows = []
+        rows = [np.empty(0)]  # a count of 0 reads nothing
         got = 0
         while got < count:
             if not self._advance():
@@ -323,8 +323,6 @@ def load(source) -> tuple[AveProblem, dict[str, str]]:
     n = r.next_int("n")
     if n < 1:
         raise SchemaError(f"n must be positive, got {n}")
-    if structure == "tridiagonal" and n < 2:
-        raise SchemaError("tridiagonal structure needs n >= 2")
 
     a: np.ndarray | TridiagonalMatrix
     if structure == "dense":

@@ -228,6 +228,13 @@ def test_oracle_no_solutions(tmp_path, capsys):
     assert "count: Zero" in out
 
 
+def test_oracle_finitely_many(tmp_path, capsys):
+    path = write_problem(tmp_path, "four.ave", [[0.5, 0.0], [0.0, 0.5]], [-1.0, -1.0])
+    code, out, _ = run(capsys, "oracle", path)
+    assert code == 0
+    assert out.splitlines()[-1] == "count: FinitelyMany (4)"
+
+
 def test_oracle_size_cap(tmp_path, capsys):
     n = 21
     path = write_problem(tmp_path, "big.ave", (3.0 * np.eye(n)).tolist(), [1.0] * n)

@@ -1,5 +1,6 @@
 """Linear-algebra kernels against closed forms and brute-force oracles."""
 
+import functools
 import itertools
 import warnings
 
@@ -160,6 +161,13 @@ def _small_integer_ranges():
         yield a, start, stop
 
 
+@functools.cache
+def _small_integer_cases():
+    """Each range of :func:`_small_integer_ranges` with its
+    :func:`_lu_flags`, computed once for the tests that compare them."""
+    return [(a, start, stop, _lu_flags(a, range(start, stop))) for a, start, stop in _small_integer_ranges()]
+
+
 def _flags(a, start, stop):
     """The singularity flags of pattern_solve, against a right-hand side
     of ones."""
@@ -168,9 +176,8 @@ def _flags(a, start, stop):
 
 def test_pattern_solve_flags_match_lu_factor():
     total = singular = 0
-    for a, start, stop in _small_integer_ranges():
+    for a, start, stop, expect in _small_integer_cases():
         got = _flags(a, start, stop)
-        expect = _lu_flags(a, range(start, stop))
         assert got.tolist() == expect, (a, start, stop)
         total += len(expect)
         singular += sum(expect)
@@ -179,12 +186,12 @@ def test_pattern_solve_flags_match_lu_factor():
 
 def test_lu_factor_flags_match_getrf():
     total = singular = 0
-    for a, start, stop in _small_integer_ranges():
+    for a, start, stop, flags in _small_integer_cases():
         expect = []
         for m in _step_matrices(a, range(start, stop)):
             pivots = np.abs(np.diag(_getrf(m)[0]))
             expect.append(bool(_singular(pivots, np.abs(m).max(), DEFAULT_RANK_TOL)))
-        assert _lu_flags(a, range(start, stop)) == expect, (a, start, stop)
+        assert flags == expect, (a, start, stop)
         total += len(expect)
         singular += sum(expect)
     assert total > 20_000 and singular > 500
@@ -291,7 +298,21 @@ def test_tridiag_pivots_match_dense_elimination():
     t = TridiagonalMatrix(-rng.uniform(0.1, 1.0, n - 1), rng.uniform(2.0, 3.0, n), -rng.uniform(0.1, 1.0, n - 1))
     packed, k = _nopivot(t.to_dense(), 0.0)
     assert k == n
-    assert_allclose(_structure(t).eliminate(0.0)[0], np.diag(packed), rtol=1e-13)
+    assert np.array_equal(_structure(t).eliminate(0.0)[0], np.diag(packed))
+    # random tridiagonal Z-matrices across several panels of the dense
+    # loop; a main diagonal near the couplings stops some eliminations
+    # before the last pivot, and both storages stop at the same one
+    stopped = 0
+    for trial in range(90):
+        n = (2, NOPIVOT_BLOCK + 1, 2 * NOPIVOT_BLOCK + 7)[trial % 3]
+        high = 1.4 if trial % 2 else 3.0
+        t = TridiagonalMatrix(-rng.uniform(0.1, 1.0, n - 1), rng.uniform(1.0, high, n), -rng.uniform(0.1, 1.0, n - 1))
+        floor = DEFAULT_RANK_TOL * t.scale
+        tri = _structure(t).eliminate(floor)[0]
+        dense = _structure(t.to_dense()).eliminate(floor)[0]
+        assert tri.shape == dense.shape and np.array_equal(tri, dense), (trial, n)
+        stopped += tri.size < n
+    assert stopped >= 20
     # ex1's pivots p_i = 7 - 4 / p_{i-1} fall to the fixed point (7 + sqrt(33)) / 2
     ex1 = _structure(TridiagonalMatrix([-2.0] * 19, [7.0] * 20, [-2.0] * 19)).eliminate(0.0)[0]
     assert ex1[-1] == pytest.approx((7.0 + np.sqrt(33.0)) / 2.0, rel=1e-12)

@@ -72,6 +72,25 @@ def test_condition_3b_rejects_reducible():
     assert not ok
 
 
+@pytest.mark.parametrize(
+    "sub, main, sup",
+    [
+        # A - I has pivots (1, 1, 0) and left kernel v = (1, 1, 1) > 0, but
+        # its zero superdiagonal entry makes it reducible
+        ([-1.0, -1.0], [2.0, 2.0, 2.0], [0.0, -1.0]),
+        # A - I = [[1, -1], [0, 0]] has pivots (1, 0) and v = (0, 1)
+        ([0.0], [2.0, 1.0], [-1.0]),
+    ],
+    ids=["reducible", "kernel-not-positive"],
+)
+@pytest.mark.parametrize("dense", [False, True], ids=["tridiagonal", "dense"])
+def test_condition_3b_rejects_a_zero_last_pivot_that_fails_the_probe(sub, main, sup, dense):
+    t = TridiagonalMatrix(sub, main, sup)
+    a = t.to_dense() if dense else t
+    assert check_condition_3b(a) == (False, None)
+    assert "A - I is a singular Z-matrix but fails the irreducible-kernel probe" in diagnostics(a).notes
+
+
 def test_certificates_are_mutually_exclusive():
     mats = [gen_example_k(k).dense_a() for k in (2, 3, 4, 5)]
     mats += [gen_random_3a(n, seed).dense_a() for n, seed in [(3, 1), (5, 2), (8, 3)]]

@@ -42,6 +42,16 @@ def test_scalar_two_solutions():
     assert_allclose(got, [-2.0 / 3.0, 2.0], atol=1e-12)
 
 
+def test_finitely_many_isolated_solutions():
+    # A = 0.5 I decouples into two copies of the scalar case above: each
+    # x_i is 2 or -2/3, so there are four isolated solutions
+    p = AveProblem(0.5 * np.eye(2), np.array([-1.0, -1.0]))
+    count = count_solutions(p)
+    assert count.kind is SolutionCountKind.FINITELY_MANY and count.count == 4
+    got = sorted(tuple(x) for x in enumerate_solutions(p).isolated)
+    assert_allclose(got, [[-2.0 / 3.0, -2.0 / 3.0], [-2.0 / 3.0, 2.0], [2.0, -2.0 / 3.0], [2.0, 2.0]], atol=1e-12)
+
+
 def test_scalar_one_solution():
     # 2 x - |x| = 1: the negative branch gives x = 1/3 > 0, inconsistent
     p = AveProblem(np.array([[2.0]]), np.array([1.0]))

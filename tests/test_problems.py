@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from avekit.cli import main
 from avekit.core import AveProblem, residual
 from avekit.errors import ParseError, SchemaError
+from avekit.linalg import TridiagonalMatrix
 from avekit.mclass import check_condition_3a, check_condition_3b, diagnostics
 from avekit.oracle import SolutionCountKind, count_solutions, enumerate_solutions
 from avekit.problems import (
@@ -233,6 +234,21 @@ def test_save_load_identity_tridiagonal(tmp_path):
     path2 = tmp_path / "tri2.ave"
     save(path2, p, meta)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_n1_tridiagonal_round_trips_and_solves(tmp_path, capsys):
+    # the A.sub and A.super sections are empty and load back as such
+    path = tmp_path / "tri1.ave"
+    save(path, AveProblem(TridiagonalMatrix([], [3.0], []), [1.0]))
+    p, meta = load(path)
+    assert p.is_tridiagonal and p.n == 1
+    assert p.dense_a().tolist() == [[3.0]] and p.b.tolist() == [1.0]
+    path2 = tmp_path / "tri1_again.ave"
+    save(path2, p, meta)
+    assert path.read_bytes() == path2.read_bytes()
+    # 3 x - |x| = 1 at x = 1/2
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out == "IT=1 RES=0.0000e+00 x=(0.5) status=Converged\n"
 
 
 def test_round_trip_exact_doubles(tmp_path):
