@@ -9,8 +9,10 @@ fields are emitted at full precision so they round-trip.
 
 Each ``cmd_*`` returns ``(exit_code, json_doc, text_lines)`` and prints
 nothing; ``main`` prints the document under --json, listing its arrays
-only then, and the text lines otherwise.  An error raised by a command is
-mapped to its exit code by the one table ``ERROR_EXITS`` and printed to stderr.
+only then, and the text lines otherwise (``oracle`` formats them only
+then).  The --json bytes are those of ``json.dumps(doc, indent=2)``.  An
+error raised by a command is mapped to its exit code by the one table
+``ERROR_EXITS`` and printed to stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +103,40 @@ def _fmt_vec(x, max_entries: int = 16) -> str:
         return "(" + ", ".join(format(float(t), ".10g") for t in v) + ")"
     head = ", ".join(format(float(t), ".10g") for t in v[:4])
     return f"({head}, ... {v.shape[0]} entries, max |x_i| = {np.abs(v).max():.6g})"
+
+
+_quote = json.encoder.encode_basestring_ascii
+# json's text for the scalars that need no check; a float may be NaN or
+# infinite, so it goes to json
+_LEAVES = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda o: "true" if o else "false",
+    type(None): lambda o: "null",
+}
+
+
+def _json(o, pad: str = "") -> str:
+    """``json.dumps(o, indent=2, default=np.ndarray.tolist)`` nested ``pad``
+    deep, byte for byte, for a document whose dict keys are strings.  The
+    indented layout is written here, and a list of plain ints or finite
+    floats is one join of their reprs; strings are quoted by json's C
+    routine, and floats and any other value are left to json's C encoder."""
+    if isinstance(o, np.ndarray):
+        o = o.tolist()
+    inner = pad + "  "
+    if isinstance(o, (list, tuple)) and o:
+        kinds = set(map(type, o))
+        if kinds == {int} or (kinds == {float} and all(map(math.isfinite, o))):
+            items = map(repr, o)
+        else:
+            items = (_json(v, inner) for v in o)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if isinstance(o, dict) and o:
+        items = (_quote(k) + ": " + _json(v, inner) for k, v in o.items())
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    leaf = _LEAVES.get(type(o))
+    return leaf(o) if leaf else json.dumps(o, default=np.ndarray.tolist)
 
 
 def _envelope(args, digest: str, result: dict) -> dict:
@@ -225,7 +263,7 @@ def cmd_classify(args) -> tuple[int, dict, list[str]]:
     return EXIT_OK, doc, lines
 
 
-def cmd_oracle(args) -> tuple[int, dict, list[str]]:
+def cmd_oracle(args) -> tuple[int, dict, Iterator[str]]:
     p, digest = _load_file(args.file)
     sols = enumerate_solutions(p, verify_tol=args.tol)
     count = sols.count()
@@ -243,14 +281,19 @@ def cmd_oracle(args) -> tuple[int, dict, list[str]]:
             "exhaustive_bound": sols.exhaustive_bound,
         },
     )
-    lines = [] if sols.isolated else ["no isolated solutions"]
-    lines += [f"solution: {_fmt_vec(x)}" for x in sols.isolated]
-    for br in sols.singular_branches:
-        pat = ",".join(f"{s:+d}" for s in br.pattern)
-        flag = "consistent (continuum suspected)" if br.consistent else "inconsistent"
-        lines.append(f"singular branch ({pat}): {flag}")
-    lines.append(f"count: {count.kind.value}" + ("" if count.count is None else f" ({count.count})"))
-    return EXIT_OK, doc, lines
+    def lines():
+        # a generator, so that --json formats none of the branch lines
+        if not sols.isolated:
+            yield "no isolated solutions"
+        for x in sols.isolated:
+            yield f"solution: {_fmt_vec(x)}"
+        for br in sols.singular_branches:
+            pat = ",".join(f"{s:+d}" for s in br.pattern)
+            flag = "consistent (continuum suspected)" if br.consistent else "inconsistent"
+            yield f"singular branch ({pat}): {flag}"
+        yield f"count: {count.kind.value}" + ("" if count.count is None else f" ({count.count})")
+
+    return EXIT_OK, doc, lines()
 
 
 def cmd_generate(args) -> tuple[int, dict, list[str]]:
@@ -489,7 +532,7 @@ def main(argv: list[str] | None = None) -> int:
     except tuple(ERROR_EXITS) as e:
         print(f"error: {e}", file=sys.stderr)
         return next(code for t, code in ERROR_EXITS.items() if isinstance(e, t))
-    print(json.dumps(doc, indent=2, default=np.ndarray.tolist) if args.json else "\n".join(lines))
+    print(_json(doc) if args.json else "\n".join(lines))
     return code
 
 

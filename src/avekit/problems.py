@@ -25,6 +25,14 @@ anywhere; numbers are written with 17 significant digits, which
 round-trips doubles exactly.  Plus-convention files (A x + |x| = b) are
 normalized on load via y = -x to the minus problem A y - |y| = -b, with a
 metadata note recording the flip.
+
+A number section that starts on a fresh line and fills whole lines of one
+width, as ``save`` writes it, is read by one ``np.loadtxt`` pass in C; any
+other layout (numbers on a keyword's line, rows split or joined across
+lines, comment or blank lines inside the section, tokens such as ``1_0``
+that only Python's ``float`` reads) is read token by token.  Both give the
+same doubles, and every error comes from the token reader, so its message
+and line number do not depend on the layout.
 """
 
 from __future__ import annotations
@@ -258,6 +266,20 @@ class _TokenReader:
             )
 
     def floats(self, count: int, what: str) -> np.ndarray:
+        """The next ``count`` tokens as finite floats.
+
+        A section that starts on a fresh line and fills whole lines of one
+        width is converted by one ``np.loadtxt`` pass, which parses with
+        the same C routine as ``float()``.  Any other layout, and any
+        section the pass rejects, goes to :meth:`token_floats`, so values,
+        errors and line numbers do not depend on the path."""
+        if count > 0 and not self.tokens and self._advance():
+            block = self._whole_lines(count)
+            if block is not None:
+                return block
+        return self.token_floats(count, what)
+
+    def token_floats(self, count: int, what: str) -> np.ndarray:
         """The next ``count`` tokens as finite floats, converted a line at
         a time; an error names the line of the first bad token.  Memory
         follows the tokens read, not ``count``, which comes from the file."""
@@ -277,6 +299,25 @@ class _TokenReader:
             rows.append(row)
             got += len(take)
         return np.concatenate(rows)
+
+    def _whole_lines(self, count: int) -> np.ndarray | None:
+        """The ``count`` numbers from the current line on if they fill
+        whole lines of its width, each line a row with no blank or comment
+        line between, all finite; else None, and the position is kept."""
+        width = len(self.tokens)
+        rows, rest = divmod(count, width)
+        if rest:
+            return None
+        start = self.lineno - 1
+        try:
+            block = np.loadtxt(self.lines[start : start + rows], comments="#", ndmin=2)
+        except ValueError:
+            return None
+        if block.shape != (rows, width) or not np.isfinite(block).all():
+            return None
+        self.tokens = []
+        self.lineno = start + rows
+        return block.reshape(-1)
 
     def _raise_first_bad(self, tokens: list[str], what: str) -> None:
         for tok in tokens:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avekit.cli import main
+from avekit.cli import _json, build_parser, main
 from avekit.core import AveProblem
 from avekit.problems import save
 
@@ -696,3 +696,93 @@ def test_json_output_is_pinned(ex_files, tmp_path, capsys, argv):
     assert code == 0
     assert err == ""
     assert out.replace(str(tmp_path), "{tmp}") == json.dumps(PINNED_JSON[argv], indent=2) + "\n"
+
+
+# --json is written by cli._json, which must print what
+# json.dumps(doc, indent=2, default=np.ndarray.tolist) prints.
+def _reference_json(doc):
+    return json.dumps(doc, indent=2, default=np.ndarray.tolist)
+
+
+def test_json_writer_matches_json_dumps_on_the_pinned_documents():
+    for doc in PINNED_JSON.values():
+        assert _json(doc) == _reference_json(doc)
+
+
+_SYNTHETIC_DOCS = [
+    {"nan": float("nan"), "inf": [1.0, float("inf"), -float("inf")], "array": np.array([np.nan, 1.5, -np.inf])},
+    {"f64": np.float64(0.1), "list": [np.float64(1e300), 2.5], "scalar_array": np.array(2.5)},
+    {"consts": [True, False, None], "ints_and_bools": [1, True, 0, False], "bools": np.array([True, False])},
+    {"empty_list": [], "empty_dict": {}, "empty_tuple": (), "nested": [[], {}, ()], "empty_array": np.array([])},
+    {"tuple_of_arrays": (np.arange(3), np.array([[1.0, 2.0], [3.0, 4.0]])), "pair": (1, 2.0)},
+    {"int8": np.array([-1, 1, 0], dtype=np.int8), "uint64": np.arange(3, dtype=np.uint64), "big": [10**30, -(10**30)]},
+    {"tiny": np.array([1e-310, 5e-324, -0.0, 1.7976931348623157e308]), "mixed": [1, 2.5, "three", None]},
+    {"naïve ☃": "ünïcode \U0001f600", "esc": "quote \" backslash \\ tab \t newline \n nul \x00", "\n": " "},
+    [[[1.0, [2, [3.0, {"deep": [None]}]]]]],
+    0.1,
+    float("nan"),
+    "just a string",
+    None,
+    7,
+    [],
+    {},
+]
+
+
+@pytest.mark.parametrize("doc", _SYNTHETIC_DOCS)
+def test_json_writer_matches_json_dumps_on_synthetic_documents(doc):
+    assert _json(doc) == _reference_json(doc)
+
+
+def _singular_heavy(n):
+    # A = I + U, U strictly upper triangular and nonpositive, b = A x* + x*
+    # for x* < 0: every step matrix but one is singular
+    rng = np.random.default_rng(8)
+    a = np.eye(n) + np.triu(-rng.uniform(0.1, 1.1, (n, n)), 1)
+    xstar = -rng.uniform(0.5, 2.0, n)
+    return a, a @ xstar + xstar
+
+
+def _document(argv):
+    args = build_parser().parse_args(argv)
+    args.command_echo = "avekit " + " ".join(argv)
+    return args.func(args)[1]
+
+
+def test_every_subcommand_prints_the_json_dumps_bytes(tmp_path, capsys):
+    ex1, rand3a = str(tmp_path / "ex1_2000.ave"), str(tmp_path / "rand3a_50.ave")
+    singular = write_problem(tmp_path, "singular_8.ave", *_singular_heavy(8))
+    calls = [
+        ["generate", "--family", "ex1", "--n", "2000", "-o", ex1, "--json"],
+        ["generate", "--family", "rand3a", "--n", "50", "--seed", "3", "-o", rand3a, "--json"],
+        ["convert", "--T", "1,0.5;0,1", "--c", "3,-3", "-o", str(tmp_path / "c.ave"), "--json"],
+        ["reproduce", "--table1", "--sizes", "2000", "--json"],
+        ["reproduce", "--examples", "--json"],
+    ]
+    for path in (ex1, rand3a, singular):
+        calls += [["solve", path, "--json"], ["classify", path, "--json"]]
+    calls.append(["oracle", singular, "--json"])
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        # from ones, the singular-heavy solve meets a singular step matrix
+        assert code == (3 if argv[:2] == ["solve", singular] else 0), argv
+        assert err == "", argv
+        assert out == _reference_json(_document(argv)) + "\n", argv
+    # the oracle document lists one singular branch per pattern but one
+    assert len(json.loads(out)["result"]["singular_branches"]) == 2**8 - 1
+
+
+def test_json_output_does_not_use_the_indenting_python_encoder(tmp_path, capsys, monkeypatch):
+    # json.dumps(..., indent=2) runs json's pure-Python encoder; a later
+    # change that falls back to it fails here
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder was used")
+
+    path = str(tmp_path / "ex1_12.ave")
+    assert main(["generate", "--family", "ex1", "--n", "12", "-o", path, "--json"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    for command in ("solve", "classify", "oracle"):
+        code, out, err = run(capsys, command, path, "--json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["input"] == path

@@ -446,3 +446,164 @@ def test_valid_metadata_round_trips():
     buf = io.StringIO()
     save(buf, gen_example_k(3), metadata)
     assert load(io.StringIO(buf.getvalue()))[1] == metadata
+
+
+# ----------------------------------------------------------- reader layouts
+
+
+def _reference_sections(text: str) -> dict[str, np.ndarray]:
+    """The number sections of an .ave text, one ``float()`` per token."""
+    tokens = [t for line in text.splitlines() for t in line.split("#", 1)[0].split()]
+    n = int(tokens[7])
+    counts = {"A": n * n, "A.sub": n - 1, "A.main": n, "A.super": n - 1, "b": n}
+    out, i = {}, 8
+    while i < len(tokens) and tokens[i] in counts:
+        key, count = tokens[i], counts[tokens[i]]
+        out[key] = np.array([float(t) for t in tokens[i + 1 : i + 1 + count]])
+        i += 1 + count
+    return out
+
+
+def _loaded_sections(p: AveProblem) -> dict[str, np.ndarray]:
+    if p.is_tridiagonal:
+        return {"A.sub": p.a.sub, "A.main": p.a.main, "A.super": p.a.sup, "b": p.b}
+    return {"A": p.a.reshape(-1), "b": p.b}
+
+
+def _random_problem(structure: str, n: int, seed: int) -> AveProblem:
+    # mixed signs and magnitudes from 1e-300 to 1e300, with -0.0, the
+    # smallest subnormal and the largest double among them
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        v = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size=size)
+        specials = np.array([-0.0, 5e-324, 1.7976931348623157e308])
+        v[: min(size, 3)] = specials[: min(size, 3)]
+        return rng.permutation(v)
+
+    b = draw(n)
+    if structure == "dense":
+        return AveProblem(draw(n * n).reshape(n, n), b)
+    return AveProblem(TridiagonalMatrix(draw(n - 1), draw(n), draw(n - 1)), b)
+
+
+def _sections(p: AveProblem) -> list[tuple[str, list[list[str]]]]:
+    """Each number section of ``p`` as its keyword and its rows, every
+    entry written by ``repr``."""
+    if p.is_tridiagonal:
+        parts = [("A.sub", [p.a.sub]), ("A.main", [p.a.main]), ("A.super", [p.a.sup])]
+    else:
+        parts = [("A", list(p.a))]
+    parts.append(("b", [p.b]))
+    return [(key, [[repr(float(v)) for v in row] for row in rows]) for key, rows in parts]
+
+
+def _halves(row):
+    return [row[: len(row) // 2], row[len(row) // 2 :]]
+
+
+# layout name -> the lines of one section from its keyword and rows
+_LAYOUTS = {
+    "one-row-a-line": lambda key, rows: [key] + [" ".join(r) for r in rows],
+    "two-rows-a-line": lambda key, rows: [key]
+    + [" ".join(rows[i] + (rows[i + 1] if i + 1 < len(rows) else [])) for i in range(0, len(rows), 2)],
+    "rows-split-over-two-lines": lambda key, rows: [key]
+    + [" ".join(h) for r in rows for h in _halves(r)],
+    "numbers-on-the-keyword-line": lambda key, rows: [" ".join([key] + [t for r in rows for t in r])],
+    "trailing-comments": lambda key, rows: [key] + [" ".join(r) + " # row" for r in rows],
+    "comment-and-blank-lines": lambda key, rows: [key + "  # section", "# a comment line"]
+    + [line for r in rows for line in (" ".join(r) + "  # trailing comment", "", "   ")],
+    "tabs-and-runs-of-spaces": lambda key, rows: ["\t" + key + "   "]
+    + ["  " + "\t \t".join(r) + "  \t" for r in rows],
+}
+
+
+def _layout_text(p: AveProblem, layout: str) -> str:
+    structure = "tridiagonal" if p.is_tridiagonal else "dense"
+    lines = ["version 1", "convention minus", f"structure {structure}", f"n {p.n}"]
+    for key, rows in _sections(p):
+        lines += _LAYOUTS[layout](key, rows)
+    if layout == "numbers-on-the-keyword-line":
+        # every section on one line, each keyword after the last number
+        # of the section before it
+        lines = lines[:4] + [" ".join(lines[4:])]
+    return "\n".join(lines + ["meta family test"]) + "\n"
+
+
+_SHAPES = [("dense", 1), ("dense", 2), ("dense", 7), ("tridiagonal", 1), ("tridiagonal", 2), ("tridiagonal", 9)]
+
+
+@pytest.mark.parametrize("structure, n", _SHAPES)
+@pytest.mark.parametrize("layout", ["save", *_LAYOUTS])
+def test_load_is_bit_identical_to_a_float_per_token_reference(structure, n, layout):
+    p = _random_problem(structure, n, seed=1000 * n + len(layout))
+    if layout == "save":
+        buf = io.StringIO()
+        save(buf, p, {"family": "test"})
+        text = buf.getvalue()
+    else:
+        text = _layout_text(p, layout)
+    q, meta = load(io.StringIO(text))
+    assert meta == {"family": "test"}
+    got, ref = _loaded_sections(q), _reference_sections(text)
+    assert got.keys() == ref.keys()
+    for key in ref:
+        assert got[key].dtype == np.float64
+        assert got[key].tobytes() == ref[key].tobytes(), key
+    # the tokens were written by repr or %.17g, so they are p's own doubles
+    assert _loaded_sections(q)["b"].tobytes() == p.b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # whole lines that numpy's reader also converts
+        "A\n+1 -.5\n4.9e-324 1e308\nb\n-0 .25\n",
+        # "1_0" and non-ASCII digits are Python float() syntax only
+        "A\n1_0 +1\n-.5 4.9e-324\nb\n١ 1_000.5\n",
+        "A 1_0 +1\n-.5 4.9e-324 b\n+1 -.5\n",
+    ],
+)
+def test_load_reads_every_token_float_reads(body):
+    text = "version 1\nconvention minus\nstructure dense\nn 2\n" + body
+    p, _ = load(io.StringIO(text))
+    ref = _reference_sections(text)
+    assert p.a.reshape(-1).tobytes() == ref["A"].tobytes()
+    assert p.b.tobytes() == ref["b"].tobytes()
+
+
+@pytest.mark.parametrize(
+    "body,error,message",
+    [
+        # a row longer than the first: the token reader takes the numbers it
+        # needs and the rest of the line is the next keyword's
+        ("A\n1 2\n3 4 5\nb\n1 1\n", ParseError, "line 7: expected 'b', got '5'"),
+        ("A\n1 2\n3 1e999\nb\n1 1\n", SchemaError, "line 7: non-finite value in matrix entries"),
+        ("A\n1 2\n3 4\nb\n1 nan\n", SchemaError, "line 9: non-finite value in right-hand side entries"),
+        ("A\n1 2\n3 4\nb\n1 1 2\n", ParseError, "line 9: expected 'meta', got '2'"),
+        ("A\n1 2\n3 4\nb\n1\n", ParseError, "unexpected end of file while reading right-hand side entries"),
+        ("A\n1 2\n3\nb\n1 1\n", ParseError, "line 8: expected a number for matrix entries, got 'b'"),
+    ],
+)
+def test_whole_line_sections_keep_the_token_reader_errors(body, error, message):
+    with pytest.raises(error) as info:
+        load(io.StringIO(_DENSE2 + body))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_saved_dense_file_loads_without_the_token_loop(tmp_path, monkeypatch):
+    # save's layout is whole lines, so a later change that sends it back
+    # to the per-token loop fails here
+    from avekit import problems
+
+    p = gen_random_3a(30, 5)
+    path = tmp_path / "dense30.ave"
+    save(path, p)
+
+    def refuse(self, count, what):
+        raise AssertionError(f"{what} went through the per-token loop")
+
+    monkeypatch.setattr(problems._TokenReader, "token_floats", refuse)
+    q, _ = load(path)
+    assert q.a.tobytes() == p.a.tobytes() and q.b.tobytes() == p.b.tobytes()
