@@ -1,12 +1,18 @@
 """End-to-end CLI behavior: output shapes, exit codes, JSON round-trips."""
 
+import gc
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avekit
 from avekit.cli import _json, build_parser, main
 from avekit.core import AveProblem
 from avekit.problems import save
@@ -786,3 +792,68 @@ def test_json_output_does_not_use_the_indenting_python_encoder(tmp_path, capsys,
         code, out, err = run(capsys, command, path, "--json")
         assert code == 0 and err == ""
         assert json.loads(out)["input"] == path
+
+
+# main() without arguments, as the process runs it; the freeze count goes
+# to stderr after everything the call wrote there
+PROGRAM = (
+    "import gc, sys; from avekit.cli import main; c = main(); "
+    "sys.stderr.write(f'{gc.get_freeze_count()}'); sys.exit(c)"
+)
+
+
+def _launch(*args, stdout=subprocess.PIPE):
+    src = str(Path(avekit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_program_mode_writes_what_the_library_writes_and_freezes_the_import_heap(ex_files, capsys):
+    calls = [
+        ["solve", ex_files[2]],
+        ["classify", ex_files[4]],
+        ["oracle", ex_files[4], "--json"],
+        ["solve", "/nonexistent/nope.ave"],
+    ]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        proc = _launch("-c", PROGRAM, *argv)
+        stdout, stderr = proc.communicate(timeout=60)
+        prefix, count = re.fullmatch(rb"(.*?)(\d+)", stderr, re.DOTALL).groups()
+        assert (proc.returncode, stdout, prefix) == (code, out.encode(), err.encode()), argv
+        assert int(count) > 0, argv
+    assert code == 2 and err.startswith("error: cannot read /nonexistent/nope.ave")
+
+
+@pytest.mark.parametrize("command, k, flags", [("solve", 2, []), ("oracle", 4, ["--json"])])
+def test_program_mode_exits_141_without_a_traceback_on_a_closed_pipe(ex_files, command, k, flags):
+    # the read end is closed before the child starts, so its first write
+    # fails with EPIPE whatever the size of the output
+    read, write = os.pipe()
+    os.close(read)
+    proc = _launch("-m", "avekit.cli", command, ex_files[k], *flags, stdout=write)
+    os.close(write)
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert stderr == b""
+
+
+def test_library_mode_leaves_the_collector_alone(ex_files, tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("main(argv) froze the collector")
+
+    monkeypatch.setattr(gc, "freeze", refuse)
+    frozen = gc.get_freeze_count()
+    calls = [
+        ["generate", "--family", "ex1", "--n", "8", "-o", str(tmp_path / "g.ave")],
+        ["convert", "--T", "1,0;0,1", "--c", "3,3", "-o", str(tmp_path / "c.ave")],
+        ["solve", ex_files[2], "--json"],
+        ["classify", ex_files[4]],
+        ["oracle", ex_files[4]],
+        ["reproduce", "--examples"],
+        ["solve", "/nonexistent/nope.ave"],
+    ]
+    for argv in calls:
+        main(argv)
+        assert gc.get_freeze_count() == frozen, argv
+        assert gc.isenabled(), argv
