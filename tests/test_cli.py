@@ -164,15 +164,27 @@ def test_classify_unknown_verdict(tmp_path, capsys):
 
 
 def test_classify_prints_rho_without_the_norm(tmp_path, capsys):
-    # A = 2I - 10L is a nonsingular M-matrix whose ||A^-1||_2 overflows
-    # working precision; rho(|A^-1|) = 1/2 is still known
-    n = 24
-    a = 2.0 * np.eye(n) - 10.0 * np.eye(n, k=-1)
+    # A = 2I - 1e9 L is a nonsingular M-matrix whose ||A^-1||_2, about
+    # (5e8)^39, overflows the float range; rho(|A^-1|) = 1/2 is still known
+    n = 40
+    a = 2.0 * np.eye(n) - 1e9 * np.eye(n, k=-1)
     code, out, _ = run(capsys, "classify", write_problem(tmp_path, "m.ave", a, np.ones(n)))
     assert code == 0
     assert "||A^-1||:" not in out
     assert "rho(|A^-1|): 0.5\n" in out
     assert "A is singular" not in out
+
+
+def test_classify_prints_a_norm_beyond_the_svd(tmp_path, capsys):
+    # A = 2I - 10L: sigma_min(A) is below the SVD's rounding, but
+    # ||A^-1||_2 = 6.2088e15 comes from A^-1 formed from pivot-free factors
+    n = 24
+    a = 2.0 * np.eye(n) - 10.0 * np.eye(n, k=-1)
+    code, out, _ = run(capsys, "classify", write_problem(tmp_path, "m.ave", a, np.ones(n)))
+    assert code == 0
+    assert "||A^-1||: 6.20882e+15\n" in out
+    assert "rho(|A^-1|): 0.5\n" in out
+    assert "beyond working precision" not in out
 
 
 def test_classify_entry_tol_is_a_usage_error(ex_files, capsys):

@@ -318,6 +318,18 @@ def test_tridiag_pivots_match_dense_elimination():
     assert ex1[-1] == pytest.approx((7.0 + np.sqrt(33.0)) / 2.0, rel=1e-12)
 
 
+def test_tridiag_elimination_without_a_right_hand_side():
+    # rhs None skips the right-hand-side updates and nothing else: both
+    # modes return what they return against a zero right-hand side
+    rng = np.random.default_rng(23)
+    for trial in range(20):
+        n = 2 + trial
+        t = TridiagonalMatrix(rng.normal(size=n - 1), rng.normal(size=n), rng.normal(size=n - 1))
+        for floor in (None, 0.0):
+            want = linalg._tridiag_eliminate(t, [0.0] * n, floor)
+            assert linalg._tridiag_eliminate(t, None, floor) == want, (trial, floor)
+
+
 def test_tridiag_pivots_stop_after_first_failure():
     t = TridiagonalMatrix([-1.0, -1.0, -1.0], [1.0, 1.0, 2.0, 2.0], [-1.0, -1.0, -1.0])
     assert_allclose(_structure(t).eliminate(0.0)[0], [1.0, 0.0])

@@ -328,6 +328,80 @@ def test_m_matrix_with_inverse_beyond_working_precision_is_not_singular(n, bande
     assert d.satisfies_3a
     assert not any("A is singular" in note for note in d.notes)
     assert d.rho_abs_a_inv == pytest.approx(0.5, abs=1e-12)
+    # dense storage forms A^-1 from pivot-free factors where its SVD is lost
+    other = diagnostics(a.to_dense() if banded else a)
+    assert d.norm_a_inv == pytest.approx(other.norm_a_inv, rel=1e-12)
+    i = np.arange(n)
+    exact = np.tril(5.0 ** np.subtract.outer(i, i)) / 2.0  # entries 5^(i-j)/2
+    assert d.norm_a_inv == pytest.approx(np.linalg.norm(exact, 2), rel=1e-12)
+
+
+def _bracket_cases():
+    yield "ex2", gen_example_k(2).dense_a()
+    yield "ex3", gen_example_k(3).dense_a()
+    for n, seed in ((12, 5), (100, 5), (400, 17)):
+        yield f"rand3a-{n}", gen_random_3a(n, seed).dense_a()
+    for n in (50, 200):
+        yield f"ex1-{n}", gen_example1(n).dense_a()
+    # A is an M-matrix but A - I is not
+    yield "tridiag(-1, 2.01, -1)", 2.01 * np.eye(50) - np.eye(50, k=1) - np.eye(50, k=-1)
+
+
+_BRACKET_CASES = list(_bracket_cases())
+
+
+@pytest.mark.parametrize("name, a", _BRACKET_CASES, ids=[name for name, _ in _BRACKET_CASES])
+def test_rho_abs_inverse_of_dense_m_matrices_matches_eigvals(name, a):
+    want = 1.0 / np.linalg.eigvals(a).real.min()
+    d = diagnostics(a)
+    assert d.rho_abs_a_inv == pytest.approx(want, rel=1e-12), name
+    if name.startswith("ex1"):
+        # the bracket closes to a few rounding units of the closed form
+        assert d.rho_abs_a_inv == pytest.approx(_ex1_inverse_norm(a.shape[0]), rel=1e-14)
+    if name.startswith("tridiag"):
+        assert not d.satisfies_3a and not d.satisfies_3b
+
+
+@pytest.fixture()
+def eigvals_calls(monkeypatch):
+    """The arguments of every ``np.linalg.eigvals`` call, which then raises."""
+    calls = []
+
+    def refuse(a):
+        calls.append(a)
+        raise AssertionError("eigvals reached")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    return calls
+
+
+def test_irreducible_dense_m_matrices_need_no_eigvals(eigvals_calls):
+    for a in (gen_random_3a(100, 5).dense_a(), gen_example1(50).dense_a()):
+        d = diagnostics(a)
+        assert d.satisfies_3a and d.rho_abs_a_inv is not None
+    assert eigvals_calls == []
+
+
+def test_reducible_m_matrices_fall_back_to_eigvals(eigvals_calls):
+    chain = 2.0 * np.eye(24) - 10.0 * np.eye(24, k=-1)
+    unit_upper = np.eye(12) + np.triu(np.full((12, 12), -0.5), 1)
+    for a in (chain, unit_upper):
+        with pytest.raises(AssertionError, match="eigvals reached"):
+            diagnostics(a)
+    assert len(eigvals_calls) == 2
+
+
+def test_bracket_gives_way_when_it_stalls():
+    # A - I = I - 1.9 U - 0.05 L is a (3a) M-matrix whose Perron vector
+    # decays like 0.16^i: from the ones vector no cycle of solves halves
+    # the bracket, so lambda_min falls back to eigvals
+    n = 100
+    a = 2.0 * np.eye(n) - 1.9 * np.eye(n, k=1) - 0.05 * np.eye(n, k=-1)
+    m = _structure(a - np.eye(n))
+    assert _structure(a)._perron_bracket(m.eliminate(0.0)[1], 1.0) is None
+    d = diagnostics(a)
+    assert d.satisfies_3a
+    assert d.rho_abs_a_inv == pytest.approx(1.0 / np.linalg.eigvals(a).real.min(), rel=1e-12)
 
 
 def test_rho_abs_inverse_outside_m_matrices():
