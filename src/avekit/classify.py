@@ -4,11 +4,11 @@ sign of v.b, with the explicit solution family for the degenerate case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import _record
 from .core import AveProblem, as_vector
 from .errors import AlphaOutOfRange
 from .linalg import _vector
@@ -36,7 +36,7 @@ class VerdictBasis(str, Enum):
     NO_CERTIFICATE = "NoCertificate"
 
 
-@dataclass(frozen=True)
+@_record.frozen
 class SolvabilityVerdict:
     """A verdict with the certificate it rests on.
 

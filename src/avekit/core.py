@@ -8,11 +8,10 @@ share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .linalg import TridiagonalMatrix, _Storage, _structure, _vector
+from . import _record
+from .linalg import TridiagonalMatrix, _structure, _vector
 
 
 def as_vector(x) -> np.ndarray:
@@ -26,7 +25,7 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True, eq=False)
+@_record.frozen(eq=False)
 class SignDiagonal:
     """The diagonal matrix diag(sign(x)) with entries in {-1, 0, 1},
     stored as one int8 per entry."""
@@ -66,14 +65,16 @@ def sign_diagonal(x) -> SignDiagonal:
     return SignDiagonal(np.sign(v).astype(np.int8))
 
 
-@dataclass(frozen=True, eq=False)
+@_record.frozen(eq=False)
 class AveProblem:
-    """An instance A x - |x| = b; ``a`` is dense or tridiagonal-banded, and
-    ``structure`` is its storage, which every operation on A asks."""
+    """An instance A x - |x| = b; ``a`` is dense or tridiagonal-banded.
+
+    ``structure``, set on construction and not a field, is the storage of
+    ``a`` (a ``linalg._Storage``), which every operation on A asks.
+    """
 
     a: np.ndarray | TridiagonalMatrix
     b: np.ndarray
-    structure: _Storage = field(init=False, repr=False)
 
     def __post_init__(self):
         b = as_vector(self.b)

@@ -48,10 +48,9 @@ of the threshold, and the solutions agree with it to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import _record
 from .errors import SingularSystem
 
 DEFAULT_RANK_TOL = 1e-10
@@ -92,7 +91,7 @@ def _vector(x, n: int, what: str) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@_record.frozen
 class LuFactorization:
     """Partial-pivoting LU factorization of a square matrix.
 
@@ -302,7 +301,7 @@ def inverse(m, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return _lu_solve(f, np.eye(f.n))
 
 
-@dataclass(frozen=True)
+@_record.frozen
 class TridiagonalMatrix:
     """Banded storage for a tridiagonal matrix: sub, main, super diagonals."""
 
@@ -477,7 +476,7 @@ def tridiag_solve(t: TridiagonalMatrix, rhs) -> np.ndarray:
     return np.array(x[:n])
 
 
-@dataclass(frozen=True)
+@_record.frozen
 class PowerIterationResult:
     """Spectral estimate with a convergence flag.
 

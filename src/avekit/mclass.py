@@ -26,14 +26,13 @@ certificate step is O(n) in memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from . import _record
 from .linalg import DEFAULT_RANK_TOL, _Storage, _structure
 
 
-@dataclass(frozen=True)
+@_record.frozen
 class Tolerances:
     """The single knob set shared by all classification verdicts.
 
@@ -54,7 +53,7 @@ class Tolerances:
 DEFAULT_TOLS = Tolerances()
 
 
-@dataclass(frozen=True)
+@_record.frozen
 class ConditionReport:
     """Certificate verdicts with witnesses and inverse-based diagnostics.
 

@@ -16,11 +16,11 @@ dimension 2 or more loads scipy, for ``linprog``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import _record
 from .core import AveProblem, residual
 from .errors import DimensionTooLarge
 from .linalg import DEFAULT_RANK_TOL, pattern_solve
@@ -40,7 +40,7 @@ KERNEL_ZERO_TOL = 1e-9
 CHUNK_BYTES = 1 << 18
 
 
-@dataclass(frozen=True)
+@_record.frozen
 class SingularBranch:
     """A sign pattern whose step matrix A - diag(s) is singular.
 
@@ -53,7 +53,7 @@ class SingularBranch:
     consistent: bool
 
 
-@dataclass(frozen=True)
+@_record.frozen
 class SolutionSet:
     """Deduplicated isolated solutions plus flags for singular branches."""
 
@@ -81,8 +81,11 @@ class SolutionCountKind(str, Enum):
     CONTINUUM_SUSPECTED = "ContinuumSuspected"
 
 
-@dataclass(frozen=True)
+@_record.frozen
 class SolutionCount:
+    """The summary of a :class:`SolutionSet`: its kind, and the number of
+    isolated solutions, which is None for ContinuumSuspected."""
+
     kind: SolutionCountKind
     count: int | None = None
 
@@ -184,21 +187,23 @@ def _probe_singular(
 ) -> list[SingularBranch]:
     """Branches of the singular step matrices A - diag(s), one for each row
     of s, from one stacked SVD: the least-squares x0 (with the cutoff of
-    ``lstsq(rcond=None)``), its residual, and the kernel basis."""
+    ``lstsq(rcond=None)``), its residual, and the kernel basis.  Only the
+    rows whose residual is within ``range_tol`` get the sign-consistency
+    test; the others are inconsistent."""
     m = a - s[:, :, None] * np.eye(len(a))
     u, sv, vt = np.linalg.svd(m)
     keep = sv > np.finfo(float).eps * m.shape[1] * sv[:, :1]
     coef = np.where(keep, np.einsum("kji,j->ki", u, b) / np.where(keep, sv, 1.0), 0.0)
     x0 = np.einsum("kji,kj->ki", vt, coef)
     ls_residual = np.linalg.norm(np.einsum("kij,kj->ki", m, x0) - b, axis=1)
-    out = []
-    for k, pattern in enumerate(s.astype(int).tolist()):
-        consistent = False
-        if ls_residual[k] <= range_tol:
-            kernel = vt[k][sv[k] <= DEFAULT_RANK_TOL * sv[k, 0]].T
-            consistent = _sign_consistent_affine(x0[k], kernel, s[k], DEFAULT_DEDUP_TOL)
-        out.append(SingularBranch(tuple(pattern), consistent))
-    return out
+    consistent = np.zeros(len(s), dtype=bool)
+    for k in np.flatnonzero(ls_residual <= range_tol):
+        kernel = vt[k][sv[k] <= DEFAULT_RANK_TOL * sv[k, 0]].T
+        consistent[k] = _sign_consistent_affine(x0[k], kernel, s[k], DEFAULT_DEDUP_TOL)
+    return [
+        SingularBranch(tuple(pattern), flag)
+        for pattern, flag in zip(s.astype(int).tolist(), consistent.tolist())
+    ]
 
 
 def count_solutions(p: AveProblem, verify_tol: float = DEFAULT_VERIFY_TOL) -> SolutionCount:

@@ -5,11 +5,11 @@ finite-termination iteration cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
+from . import _record
 from .core import AveProblem, SignDiagonal, as_vector, residual, sign_diagonal
 from .errors import SingularSystem
 from .linalg import _vector
@@ -25,7 +25,7 @@ class SolveStatus(str, Enum):
     SINGULAR_STEP = "SingularStep"
 
 
-@dataclass(frozen=True)
+@_record.frozen
 class SolverConfig:
     """Iteration controls.
 
@@ -48,7 +48,7 @@ class SolverConfig:
             object.__setattr__(self, "x0", as_vector(self.x0))
 
 
-@dataclass(frozen=True)
+@_record.frozen
 class SolveReport:
     """Trace of one generalized Newton run: the residual and sign pattern
     of every iterate, and the final iterate ``x``.
@@ -160,4 +160,4 @@ def guard_d0(p: AveProblem, cfg: SolverConfig, v: np.ndarray | None) -> SolverCo
         notes.append(
             f"v.b = {vb:.6g} >= 0: the finite-termination guarantee does not apply"
         )
-    return replace(cfg, x0=x0, notes=tuple(notes))
+    return SolverConfig(cfg.tol, cfg.max_iter, x0, tuple(notes))

@@ -2,7 +2,7 @@
 that never reach a scipy routine never pay for its import.  Only
 ``oracle`` with a kernel of dimension 2 or more and ``classify`` on a
 nonsingular tridiagonal matrix that is not symmetric positive definite
-reach one."""
+reach one.  Nor does a call compile source text at run time."""
 
 import ast
 import os
@@ -87,6 +87,38 @@ def test_call_leaves_scipy_unloaded(tmp_path, argv):
         check=True,
     )
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+# Imports numpy, then counts the source texts passed to exec, eval or
+# compile (other than a module's source, compiled by the import system)
+# while avekit.cli is imported and one command runs.
+CODEGEN_PROBE = """
+import builtins, contextlib, io, sys
+import numpy
+compiled = []
+def counting(builtin):
+    def wrapper(source, *args, **kwargs):
+        caller = sys._getframe(1).f_globals.get("__name__", "")
+        if isinstance(source, (str, bytes)) and not caller.startswith(("importlib", "_frozen_importlib")):
+            compiled.append(caller)
+        return builtin(source, *args, **kwargs)
+    return wrapper
+for name in ("exec", "eval", "compile"):
+    setattr(builtins, name, counting(getattr(builtins, name)))
+from avekit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["reproduce", "--examples", "--json"])
+print(code, len(compiled), sorted(set(compiled)))
+"""
+
+
+def test_no_source_text_is_compiled_at_run_time():
+    pythonpath = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    out = subprocess.run(
+        [sys.executable, "-c", CODEGEN_PROBE], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "0 0 []"
 
 
 def _import_time_imports(node):
