@@ -58,6 +58,22 @@ def _init(self, *args, **kwargs):
         post_init()
 
 
+def build(cls, rows) -> list:
+    """``[cls(*row) for row in rows]`` for a record class ``cls``, each row
+    holding one value per field in declaration order.  A class without
+    ``__post_init__`` skips ``__init__``: its fields are stored directly,
+    which saves about a quarter of the time a record takes."""
+    if hasattr(cls, "__post_init__"):
+        return [cls(*row) for row in rows]
+    names, new = cls.__match_args__, object.__new__
+    records = []
+    for row in rows:
+        record = new(cls)
+        record.__dict__.update(zip(names, row, strict=True))
+        records.append(record)
+    return records
+
+
 def _setattr(self, name, value):
     # imported here: only a misuse reaches it, and the module would
     # otherwise add its import time to every command

@@ -39,6 +39,7 @@ import math
 import os
 import sys
 from collections.abc import Iterator
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -129,32 +130,80 @@ _quote = json.encoder.encode_basestring_ascii
 _LEAVES = {
     str: _quote,
     int: int.__repr__,
-    bool: lambda o: "true" if o else "false",
+    bool: ("false", "true").__getitem__,
     type(None): lambda o: "null",
 }
+
+
+def _plain_numbers(o) -> bool:
+    """Is ``o`` a nonempty run of plain ints, or of finite floats, whose json
+    text is that of their reprs?"""
+    kinds = set(map(type, o))
+    return kinds == {int} or (kinds == {float} and all(map(math.isfinite, o)))
 
 
 def _json(o, pad: str = "") -> str:
     """``json.dumps(o, indent=2, default=np.ndarray.tolist)`` nested ``pad``
     deep, byte for byte, for a document whose dict keys are strings.  The
-    indented layout is written here, and a list of plain ints or finite
-    floats is one join of their reprs; strings are quoted by json's C
-    routine, and floats and any other value are left to json's C encoder."""
+    indented layout is written here: a list of plain ints or finite floats
+    is one join of their reprs, and a list of same-shaped dicts goes
+    through one ``%`` template (:func:`_dict_rows`); strings are quoted by
+    json's C routine, and floats and any other value are left to json's C
+    encoder."""
     if isinstance(o, np.ndarray):
         o = o.tolist()
     inner = pad + "  "
+    sep = ",\n" + inner
+    # one f-string copies a long join once, where + would copy it at each step
     if isinstance(o, (list, tuple)) and o:
-        kinds = set(map(type, o))
-        if kinds == {int} or (kinds == {float} and all(map(math.isfinite, o))):
+        if _plain_numbers(o):
             items = map(repr, o)
+        elif (rows := _dict_rows(o, inner)) is not None:
+            items = rows
         else:
             items = (_json(v, inner) for v in o)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        return f"[\n{inner}{sep.join(items)}\n{pad}]"
     if isinstance(o, dict) and o:
         items = (_quote(k) + ": " + _json(v, inner) for k, v in o.items())
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
     leaf = _LEAVES.get(type(o))
     return leaf(o) if leaf else json.dumps(o, default=np.ndarray.tolist)
+
+
+def _dict_rows(o, pad: str):
+    """The texts of the dicts ``o`` as list items ``pad`` deep, from one
+    ``%`` template, when every item is a dict with the same string keys in
+    the same order and each key's values pass :func:`_column`; else None."""
+    if set(map(type, o)) != {dict}:
+        return None
+    keys = tuple(o[0])
+    if not keys or set(map(tuple, o)) != {keys} or not all(type(k) is str for k in keys):
+        return None
+    inner = pad + "  "
+    columns = [_column(values, inner) for values in zip(*map(dict.values, o))]
+    if None in columns:
+        return None
+    fields = (",\n" + inner).join(_quote(k).replace("%", "%%") + ": %s" for k in keys)
+    return map(("{\n" + inner + fields + "\n" + pad + "}").__mod__, zip(*columns))
+
+
+def _column(values: tuple, pad: str) -> list[str] | None:
+    """The texts of ``values`` as dict entries ``pad`` deep, when they are
+    all leaves of _LEAVES, all finite floats, or all nonempty lists whose
+    entries together are plain numbers (:func:`_plain_numbers`); else
+    None."""
+    kinds = set(map(type, values))
+    if kinds <= _LEAVES.keys():
+        return [_LEAVES[type(v)](v) for v in values]
+    if _plain_numbers(values):
+        return list(map(repr, values))
+    if kinds == {list} and all(values) and _plain_numbers(list(chain.from_iterable(values))):
+        # one repr of them all, laid out by string replacements: their
+        # entries hold no brackets, so "], [" is the only join of two lists
+        text = repr(list(values))[1:-1].replace("], [", "]\0[")
+        text = text.replace(", ", ",\n" + pad + "  ").replace("[", "[\n" + pad + "  ")
+        return text.replace("]", "\n" + pad + "]").split("\0")
+    return None
 
 
 def _envelope(args, digest: str, result: dict) -> dict:

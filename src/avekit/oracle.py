@@ -32,12 +32,21 @@ DEFAULT_DEDUP_TOL = 1e-10
 # one-dimensional consistency test; linprog (HiGHS) likewise drops
 # constraint coefficients below 1e-9.
 KERNEL_ZERO_TOL = 1e-9
-# Bytes of working arrays handled at once: the singular step matrices
-# A - diag(s) of a chunk (8 n^2 bytes a pattern), of which the stacked SVD
-# holds a few copies, or a batch of the shared-prefix solve, whose widest
-# level holds the solutions, the gathered pivot-row entries and their
-# indices, 24 n bytes a pattern.  Memory stays flat in n.
-CHUNK_BYTES = 1 << 18
+# The enumeration's working-memory budget, in bytes.  Measured with
+# tracemalloc, a batch of the shared-prefix solve and its sign test peaks
+# at about 30 n bytes a pattern (372 at n = 12, 475 at n = 16, 579 at
+# n = 20), and a chunk of singular step matrices A - diag(s) in the
+# stacked SVD at about 28 n^2 (the matrices, u, vt and a work copy).
+# Batches are sized at 32 n bytes a pattern, and a batch is the largest
+# power of two within the budget, so that it is one subtree of the prefix
+# tree, with a single node at each level above it: 4096 patterns at n = 12
+# to 20, that is 1, 16 and 256 batches at n = 12, 16 and 20.  Chunks are
+# sized at 32 n^2 bytes a pattern within a quarter of the budget (142
+# patterns at n = 12, 51 at n = 20), because the stacked SVD slows once
+# its arrays outgrow the core's cache: 4095 singular patterns at n = 12
+# took about 4 ms more in chunks of 568 than of 227.  Memory stays flat
+# in n.
+CHUNK_BYTES = 5 << 19
 
 
 @_record.frozen
@@ -140,9 +149,14 @@ def enumerate_solutions(p: AveProblem, verify_tol: float = DEFAULT_VERIFY_TOL) -
     Patterns run in ``itertools.product((-1, 1), repeat=n)`` order.  A
     batch of them gets its singularity flags and the solutions of its
     nonsingular patterns from one shared-prefix elimination; step matrices
-    are built only for its singular patterns, which go in chunks of at
-    most CHUNK_BYTES through a stacked SVD.  Solutions and branches keep
-    that order.
+    are built only for its singular patterns, which go in chunks through a
+    stacked SVD.  Solutions and branches keep that order.  Batches and
+    chunks are sized from the bytes a pattern takes at the peak, about
+    30 n in a batch and 28 n^2 in a chunk, within CHUNK_BYTES: a batch is
+    the largest power of two of patterns that fits, 4096 at n = 12 to 20
+    (one batch at n = 12, 16 at n = 16 and 256 at n = 20), and a chunk,
+    kept to a quarter of the budget, holds 142 singular patterns at
+    n = 12, 80 at n = 16 and 51 at n = 20.
 
     Raises DimensionTooLarge above n = 20, and ValueError when verify_tol
     is negative or not finite.
@@ -155,22 +169,27 @@ def enumerate_solutions(p: AveProblem, verify_tol: float = DEFAULT_VERIFY_TOL) -
     b = p.b
     n = p.n
     bnorm = float(np.linalg.norm(b))
-    per_chunk = max(1, CHUNK_BYTES // (8 * n * n))
-    per_batch = max(1, CHUNK_BYTES // (24 * n))
+    per_chunk = max(1, CHUNK_BYTES // (128 * n * n))
+    # a batch of 2^m patterns is one subtree: its patterns share their
+    # first n - m signs, and their last m run through the same table in
+    # every batch
+    m = min(n, max(1, CHUNK_BYTES // (32 * n)).bit_length() - 1)
+    per_batch = 1 << m
+    signs = np.empty((per_batch, n), np.int8)
+    signs[:, n - m :] = _patterns(m, np.arange(per_batch))
 
     isolated: list[np.ndarray] = []
     branches: list[SingularBranch] = []
     for first in range(0, 2**n, per_batch):
-        last = min(first + per_batch, 2**n)
-        singular, xs = pattern_solve(a, b, DEFAULT_RANK_TOL, first, last)
-        numbers = np.arange(first, last)
-        xs = xs[~np.any(_patterns(n, numbers[~singular]) * xs < -DEFAULT_DEDUP_TOL, axis=1)]
+        signs[:, : n - m] = _patterns(n - m, np.array([first >> m]))
+        singular, xs = pattern_solve(a, b, DEFAULT_RANK_TOL, first, first + per_batch)
+        xs = xs[~np.any(signs[~singular] * xs < -DEFAULT_DEDUP_TOL, axis=1)]
         for x in xs:
             if residual(p, x)[1] > verify_tol:
                 continue
             if not any(np.max(np.abs(x - y)) <= DEFAULT_DEDUP_TOL for y in isolated):
                 isolated.append(x)
-        s = _patterns(n, numbers[singular])
+        s = signs[singular]
         for start in range(0, len(s), per_chunk):
             branches += _probe_singular(a, b, s[start : start + per_chunk], verify_tol * bnorm)
     return SolutionSet(tuple(isolated), tuple(branches), MAX_ENUMERATION_N)
@@ -200,10 +219,9 @@ def _probe_singular(
     for k in np.flatnonzero(ls_residual <= range_tol):
         kernel = vt[k][sv[k] <= DEFAULT_RANK_TOL * sv[k, 0]].T
         consistent[k] = _sign_consistent_affine(x0[k], kernel, s[k], DEFAULT_DEDUP_TOL)
-    return [
-        SingularBranch(tuple(pattern), flag)
-        for pattern, flag in zip(s.astype(int).tolist(), consistent.tolist())
-    ]
+    return _record.build(
+        SingularBranch, zip(map(tuple, s.astype(int).tolist()), consistent.tolist())
+    )
 
 
 def count_solutions(p: AveProblem, verify_tol: float = DEFAULT_VERIFY_TOL) -> SolutionCount:

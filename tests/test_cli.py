@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import avekit
+from avekit import cli
 from avekit.cli import _json, build_parser, main
 from avekit.core import AveProblem
 from avekit.problems import save
@@ -869,3 +870,101 @@ def test_library_mode_leaves_the_collector_alone(ex_files, tmp_path, monkeypatch
         main(argv)
         assert gc.get_freeze_count() == frozen, argv
         assert gc.isenabled(), argv
+
+
+# A list of same-shaped dicts goes through one % template in cli._json;
+# any other list goes node by node.  Both must print the json.dumps bytes.
+def _count_json_calls(m) -> list:
+    """Patch cli._json through ``m`` to note the value of every call."""
+    calls = []
+    real = cli._json
+
+    def counting(o, pad=""):
+        calls.append(o)
+        return real(o, pad)
+
+    m.setattr(cli, "_json", counting)
+    return calls
+
+
+def _json_calls(monkeypatch, doc):
+    """The text cli._json writes for doc, and the values of its calls."""
+    with monkeypatch.context() as m:
+        calls = _count_json_calls(m)
+        text = cli._json(doc)
+    return text, calls
+
+
+def _branch_list(flags):
+    return [
+        {"pattern": [1 if k >> i & 1 else -1 for i in range(3)], "consistent": flag}
+        for k, flag in enumerate(flags)
+    ]
+
+
+MIXED = _branch_list([True, False, False, True, False, True, True])
+_TEMPLATE_LISTS = {
+    "one branch": _branch_list([False]),
+    "mixed flags": MIXED,
+    "mixed leaves": [
+        {"name": "a\"%s", "x": 0.1, "k": 3, "v": [0.5, -2.0, 1e300], "none": None},
+        {"name": "b%%", "x": -2.5e-310, "k": -(10**30), "v": [1.0], "none": None},
+    ],
+    "mixed kinds in a column": [{"v": 1, "w": [7]}, {"v": "one", "w": [8, 9]}, {"v": None, "w": [10**40]}],
+    "percent in a key": [{"%s %d": True}, {"%s %d": False}],
+}
+_NODE_LISTS = {
+    "keys differ": [{"pattern": [1], "consistent": True}, {"pattern": [1], "flag": True}],
+    "key order differs": [{"pattern": [1], "consistent": True}, {"consistent": True, "pattern": [1]}],
+    "NaN leaf": [{"x": 1.0}, {"x": float("nan")}],
+    "infinite entry": [{"v": [1.0, 2.0]}, {"v": [float("inf")]}],
+    "numpy float": [{"x": np.float64(0.5)}, {"x": np.float64(1.5)}],
+    "bool among ints": [{"pattern": [1, -1]}, {"pattern": [True, -1]}],
+    "ints and floats across items": [{"v": [1, 2]}, {"v": [1.5]}],
+    "empty list value": [{"v": [1]}, {"v": []}],
+    "tuple value": [{"v": (1, 2)}, {"v": (3, 4)}],
+    "nested dict": [{"d": {"a": 1}}, {"d": {"a": 2}}],
+    "empty dicts": [{}, {}],
+    "not all dicts": [{"a": 1}, [1]],
+}
+
+
+def _at_depths(items):
+    # the list itself, then nested one and two levels deeper
+    return [items, {"singular_branches": items}, {"result": {"count": 1, "singular_branches": items}}]
+
+
+@pytest.mark.parametrize("name", list(_TEMPLATE_LISTS))
+def test_json_template_writes_the_json_dumps_bytes(monkeypatch, name):
+    items = _TEMPLATE_LISTS[name]
+    for doc in _at_depths(items):
+        text, calls = _json_calls(monkeypatch, doc)
+        assert text == _reference_json(doc)
+        # the items are written by the template, not by a call each
+        assert not any(o is item for o in calls for item in items)
+
+
+@pytest.mark.parametrize("name", list(_NODE_LISTS))
+def test_json_lists_unlike_the_template_go_node_by_node(monkeypatch, name):
+    items = _NODE_LISTS[name]
+    for doc in _at_depths(items):
+        text, calls = _json_calls(monkeypatch, doc)
+        assert text == _reference_json(doc)
+        assert all(any(o is item for o in calls) for item in items)
+
+
+def test_json_template_leaves_empty_lists_to_the_leaf_path(monkeypatch):
+    for doc in _at_depths([]):
+        assert _json_calls(monkeypatch, doc)[0] == _reference_json(doc)
+
+
+def test_oracle_branches_are_written_by_the_template(tmp_path, capsys, monkeypatch):
+    # 255 of the 256 patterns of this problem are singular branches
+    path = write_problem(tmp_path, "singular_8.ave", *_singular_heavy(8))
+    calls = _count_json_calls(monkeypatch)
+    code, out, err = run(capsys, "oracle", path, "--json")
+    assert code == 0 and err == ""
+    assert out == _reference_json(_document(["oracle", path, "--json"])) + "\n"
+    assert len(json.loads(out)["result"]["singular_branches"]) == 255
+    # node by node would take a call for each branch and each of its values
+    assert len(calls) < 50

@@ -339,3 +339,20 @@ def test_enumeration_memory_is_bounded_by_the_chunk():
         assert len(sols.isolated) == 1
         assert peak <= 8 * oracle.CHUNK_BYTES
         assert peak * 50 < 2**n * n * n * 8
+
+
+@pytest.mark.parametrize(
+    "p", _parity_cases() + [pytest.param(_singular_heavy(12, 5), id="singular-heavy-12")]
+)
+def test_budget_changes_nothing_the_oracle_returns(monkeypatch, p):
+    # batch and chunk boundaries move with the budget; the flags, their
+    # order and the isolated solutions must not move, not even in a bit
+    default = enumerate_solutions(p)
+    monkeypatch.setattr(oracle, "CHUNK_BYTES", oracle.CHUNK_BYTES // 16)
+    small = enumerate_solutions(p)
+    assert [(br.pattern, br.consistent) for br in small.singular_branches] == [
+        (br.pattern, br.consistent) for br in default.singular_branches
+    ]
+    assert len(small.isolated) == len(default.isolated)
+    for x, y in zip(small.isolated, default.isolated):
+        assert x.tobytes() == y.tobytes()

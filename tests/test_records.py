@@ -8,6 +8,7 @@ import inspect
 import numpy as np
 import pytest
 
+from avekit import _record
 from avekit.classify import SolvabilityVerdict, Verdict, VerdictBasis
 from avekit.core import AveProblem, SignDiagonal
 from avekit.linalg import LuFactorization, PowerIterationResult, TridiagonalMatrix
@@ -229,3 +230,38 @@ def test_sign_diagonal_keeps_its_own_equality():
     assert d == SignDiagonal(np.array([1.0, 0.0, -1.0]))
     assert d != SignDiagonal([1, 0, 1])
     assert d.__eq__((1, 0, -1)) is NotImplemented
+
+
+@params
+def test_bulk_built_records_equal_constructor_built_ones(name):
+    # _record.build skips __init__ only for a record without __post_init__;
+    # either way it must give what the constructor gives
+    cls, values, _ = RECORDS[name]
+    rows = [tuple(values.values()), tuple(values.values())]
+    built, made = _record.build(cls, rows), [cls(*row) for row in rows]
+    assert [type(r) for r in built] == [cls, cls]
+    assert repr(built) == repr(made)
+    for record, reference in zip(built, made):
+        for field in values:
+            assert _same(getattr(record, field), getattr(reference, field)), field
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built[0].__setattr__(next(iter(values)), None)
+    if cls.__eq__ is object.__eq__:  # identity equality (eq=False)
+        return
+    try:
+        hash(made[0])
+    except TypeError:  # a field holds an array, so == and hash do not apply
+        return
+    assert built == made
+    assert [hash(r) for r in built] == [hash(r) for r in made]
+
+
+def test_bulk_built_branches_equal_constructor_built_ones():
+    rows = [((1, -1, 1), True), ((-1, -1, 1), False), ((1, 1, 1), False)]
+    built = _record.build(SingularBranch, rows)
+    made = [SingularBranch(*row) for row in rows]
+    assert built == made and repr(built) == repr(made)
+    assert [hash(r) for r in built] == [hash(r) for r in made]
+    assert len(set(built) | set(made)) == 3
+    assert built[0] != built[1] and built[0].__dict__ == made[0].__dict__
+    assert _record.build(SingularBranch, []) == []
