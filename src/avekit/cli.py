@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import io
 import json
 import math
 import os
@@ -110,10 +111,6 @@ ERROR_EXITS = {
 }
 
 STATUS_EXITS = {SolveStatus.SINGULAR_STEP: EXIT_SINGULAR, SolveStatus.ITERATION_CAP: EXIT_CAP}
-
-
-def _sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _fmt_vec(x, max_entries: int = 16) -> str:
@@ -210,20 +207,38 @@ def _envelope(args, digest: str, result: dict) -> dict:
     return {"command": args.command_echo, "input": args.file, "input_digest": digest, "result": result}
 
 
+class _FileText(io.TextIOWrapper):
+    """The UTF-8 text of bytes read from the file at ``path``, as a stream
+    for :func:`load` that still names that file to ``os.fspath``, as a
+    path argument would."""
+
+    def __init__(self, path: str, data: bytes):
+        super().__init__(io.BytesIO(data), encoding="utf-8")
+        self.path = path
+
+    def __fspath__(self) -> str:
+        return self.path
+
+
 def _load_file(path: str) -> tuple[AveProblem, str]:
+    """The problem in the file and the sha256 of the bytes it was parsed
+    from: the file is read once."""
     try:
-        p, _ = load(path)
+        data = Path(path).read_bytes()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from e
-    return p, _sha256(path)
+    with _FileText(path, data) as text:
+        p, _ = load(text)
+    return p, hashlib.sha256(data).hexdigest()
 
 
 def _save_file(path: str, p: AveProblem, metadata: dict[str, str]) -> str:
+    """Write the problem and return the sha256 of the bytes written."""
     try:
-        save(path, p, metadata)
+        text = save(path, p, metadata)
     except OSError as e:
         raise UsageError(f"cannot write {path}: {e}") from e
-    return _sha256(path)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _parse_vector(text: str) -> np.ndarray:

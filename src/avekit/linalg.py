@@ -206,11 +206,15 @@ def lu_factor(m, rank_tol: float = DEFAULT_RANK_TOL) -> LuFactorization:
     return LuFactorization(_freeze(packed), _freeze(perm), singular, rank_tol)
 
 
-def pattern_solve(m, rhs, rank_tol: float, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+def pattern_solve(
+    m, rhs, rank_tol: float, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``lu_factor(m - diag(s), rank_tol).singular`` for the sign patterns s
     numbered start..stop-1 in ``itertools.product((-1, 1), repeat=n)``
-    order, and the solutions of (m - diag(s)) x = rhs for the nonsingular
-    ones, a row each in pattern order.
+    order, the solutions of (m - diag(s)) x = rhs for the nonsingular
+    ones, a row each in pattern order, and for every pattern its least
+    pivot magnitude over its largest entry magnitude (0 for a zero
+    matrix), the quantity the singularity rule compares with ``rank_tol``.
 
     Step k of partial-pivoting LU reads only s_0..s_k, so each shared
     prefix is eliminated once.  A node of the prefix tree holds the
@@ -258,6 +262,7 @@ def pattern_solve(m, rhs, rank_tol: float, start: int, stop: int) -> tuple[np.nd
         t = t[:, 1:] - mult[:, :, None, None] * top[:, None]
         levels.append((pivot, top.reshape(len(top), -1)))
     singular = _singular(least[:, None], scale, rank_tol)
+    relative = np.divide(least, scale, out=np.zeros_like(least), where=scale > 0.0)
     p = np.arange(start, stop)[~singular]
     x = np.empty((len(p), n))
     # off[:, j] = 2 j + (1 if s_j = 1): the pattern's copy of column j,
@@ -274,7 +279,7 @@ def pattern_solve(m, rhs, rank_tol: float, start: int, stop: int) -> tuple[np.nd
         )
         x[:, k] = (np.take(top[:, -1], node) - dot) / np.take(pivot, node)
         off[:, k] = 2 * k + (prefix & 1)
-    return singular, x
+    return singular, x, relative
 
 
 def _lu_solve(f: LuFactorization, rhs: np.ndarray) -> np.ndarray:

@@ -180,10 +180,12 @@ def _fmt_line(values: np.ndarray) -> str:
     return " ".join(["%.17g"] * len(values)) % tuple(values.tolist())
 
 
-def save(target, p: AveProblem, metadata: dict[str, str] | None = None) -> None:
+def save(target, p: AveProblem, metadata: dict[str, str] | None = None) -> str:
     """Write ``p`` in minus convention with one ``meta`` line per metadata
-    entry; accepts a path or a text stream.  Metadata that would not load
-    back as it is raises ValueError before anything is written."""
+    entry; accepts a path or a text stream, and returns the text written.
+    A file holds that text's UTF-8 bytes as they are, line ends included.
+    Metadata that would not load back as it is raises ValueError before
+    anything is written."""
     for key, value in (metadata or {}).items():
         if key.split() != [key] or "#" in key:
             raise ValueError(f"metadata key {key!r} is empty or holds whitespace or '#'")
@@ -214,7 +216,8 @@ def save(target, p: AveProblem, metadata: dict[str, str] | None = None) -> None:
     if hasattr(target, "write"):
         target.write(text)
     else:
-        Path(target).write_text(text, encoding="utf-8")
+        Path(target).write_text(text, encoding="utf-8", newline="\n")
+    return text
 
 
 class _TokenReader:

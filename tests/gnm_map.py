@@ -22,7 +22,7 @@ def run_lengths(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a cycle, counts as unbounded (inf).
     """
     n = len(b)
-    singular, xs = pattern_solve(a, b, DEFAULT_RANK_TOL, 0, 2**n)
+    singular, xs, _ = pattern_solve(a, b, DEFAULT_RANK_TOL, 0, 2**n)
     number = np.arange(2**n)
     after = number.copy()
     after[~singular] = (xs > 0) @ (1 << np.arange(n - 1, -1, -1))

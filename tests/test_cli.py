@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: output shapes, exit codes, JSON round-trips."""
 
+import builtins
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -398,6 +400,26 @@ def test_solve_non_utf8_file_is_a_parse_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: not UTF-8 text: invalid start byte at byte 0\n"
+
+
+def test_solve_opens_its_input_once(tmp_path, capsys, monkeypatch):
+    # the digest in --json describes the bytes that were parsed, so the
+    # file is read once for both
+    path = write_problem(tmp_path, "p.ave", [[3.0, 0.0], [0.0, 3.0]], [2.0, 4.0])
+    opened = []
+
+    def counting(file, *args, **kwargs):
+        opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+        return real_open(file, *args, **kwargs)
+
+    real_open = io.open
+    monkeypatch.setattr(io, "open", counting)
+    monkeypatch.setattr(builtins, "open", counting)
+    code, out, _ = run(capsys, "solve", path, "--json")
+    assert code == 0
+    assert opened.count(path) == 1
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert json.loads(out)["input_digest"] == digest
 
 
 def test_reproduce_examples(capsys):

@@ -42,6 +42,14 @@ def _tridiagonal_3b(n):
     return AveProblem(TridiagonalMatrix(-np.ones(n - 1), main, -np.ones(n - 1)), -np.ones(n))
 
 
+def _singular_heavy(n):
+    # A = I + U, U strictly upper triangular and nonpositive: every step
+    # matrix but that of s = -1 has a zero on its diagonal
+    a = np.eye(n) - np.triu(np.random.default_rng(2).uniform(0.1, 1.1, (n, n)), 1)
+    x = -np.linspace(0.5, 2.0, n)
+    return AveProblem(a, a @ x + x)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -57,8 +65,10 @@ def _tridiagonal_3b(n):
         pytest.param(["convert", "--T", "1,0;0,1", "--c", "3,3", "-o", "c.ave"], id="convert"),
         pytest.param(["oracle", "ex1_8.ave"], id="oracle-ex1"),
         pytest.param(["oracle", "rand3a_8.ave"], id="oracle-rand3a"),
-        # one singular pattern, s = (1, ..., 1), decided by the stacked SVD
+        # one singular pattern, s = (1, ..., 1), settled by the QR step
         pytest.param(["oracle", "rand3b_8.ave"], id="oracle-rand3b"),
+        # 255 of 256 patterns singular, each settled by the QR step
+        pytest.param(["oracle", "heavy_8.ave"], id="oracle-singular-heavy"),
         # the dense LU, SVD and eigenvalue kernels and the Sturm bisection
         pytest.param(["classify", "ex1.ave"], id="classify-ex1"),
         pytest.param(["classify", "rand3a_8.ave"], id="classify-rand3a"),
@@ -76,6 +86,7 @@ def test_call_leaves_scipy_unloaded(tmp_path, argv):
     save(tmp_path / "rand3a_8.ave", gen_random_3a(8, 1), {})
     save(tmp_path / "rand3b_8.ave", gen_random_3b(8, 1), {})
     save(tmp_path / "rand3a_40.ave", gen_random_3a(40, 1), {})
+    save(tmp_path / "heavy_8.ave", _singular_heavy(8), {})
     pythonpath = [str(SRC.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     out = subprocess.run(

@@ -254,7 +254,7 @@ def _pattern_solve_cases():
 def test_pattern_solve_matches_lu_factor_and_solve():
     total = mixed = 0
     for a, b, start, stop in _pattern_solve_cases():
-        singular, x = pattern_solve(a, b, DEFAULT_RANK_TOL, start, stop)
+        singular, x, _ = pattern_solve(a, b, DEFAULT_RANK_TOL, start, stop)
         factors = [lu_factor(m) for m in _step_matrices(a, range(start, stop))]
         assert singular.tolist() == [f.singular for f in factors]
         expect = [solve(f, b) for f in factors if not f.singular]
@@ -264,6 +264,21 @@ def test_pattern_solve_matches_lu_factor_and_solve():
         total += len(expect)
         mixed += 0 < len(expect) < stop - start
     assert total > 5000 and mixed > 50
+
+
+def test_pattern_solve_least_pivot_matches_lu_factor():
+    # the third output is the quantity the singularity rule tests: the
+    # least pivot magnitude over the largest entry magnitude, 0 for the
+    # zero step matrix of A = diag(1, -1, 1) at pattern (+1, -1, +1)
+    for a, b, start, stop in itertools.islice(_pattern_solve_cases(), 18):
+        least = pattern_solve(a, b, DEFAULT_RANK_TOL, start, stop)[2]
+        expect = [
+            np.abs(np.diag(lu_factor(m).packed)).min() / np.abs(m).max()
+            for m in _step_matrices(a, range(start, stop))
+        ]
+        assert_allclose(least, expect, rtol=1e-10, atol=1e-15)
+    least = pattern_solve(np.diag([1.0, -1.0, 1.0]), np.ones(3), DEFAULT_RANK_TOL, 5, 6)[2]
+    assert least.tolist() == [0.0]
 
 
 def _nopivot(m, floor):

@@ -356,3 +356,123 @@ def test_budget_changes_nothing_the_oracle_returns(monkeypatch, p):
     assert len(small.isolated) == len(default.isolated)
     for x, y in zip(small.isolated, default.isolated):
         assert x.tobytes() == y.tobytes()
+
+
+# ------------------------------------------ QR settlement of singular branches
+
+
+def _svd_probe(a, b, s, deficient, range_tol):
+    """The stacked-SVD body of ``_probe_singular`` that decides every
+    singular branch, kept as the reference for the QR step."""
+    m = a - s[:, :, None] * np.eye(len(a))
+    u, sv, vt = np.linalg.svd(m)
+    keep = sv > np.finfo(float).eps * m.shape[1] * sv[:, :1]
+    coef = np.where(keep, np.einsum("kji,j->ki", u, b) / np.where(keep, sv, 1.0), 0.0)
+    x0 = np.einsum("kji,kj->ki", vt, coef)
+    ls_residual = np.linalg.norm(np.einsum("kij,kj->ki", m, x0) - b, axis=1)
+    consistent = np.zeros(len(s), dtype=bool)
+    for k in np.flatnonzero(ls_residual <= range_tol):
+        kernel = vt[k][sv[k] <= DEFAULT_RANK_TOL * sv[k, 0]].T
+        consistent[k] = oracle._sign_consistent_affine(x0[k], kernel, s[k], oracle.DEFAULT_DEDUP_TOL)
+    return [oracle.SingularBranch(tuple(map(int, row)), bool(c)) for row, c in zip(s, consistent)]
+
+
+def _ten_chain(n, upper):
+    # A = 2I - 10L (or 10U), L and U the unit sub- and superdiagonals:
+    # pivoted LU flags patterns singular whose sigma_min is above the
+    # SVD's cutoff
+    a = 2.0 * np.eye(n) - 10.0 * np.eye(n, k=1 if upper else -1)
+    x = np.linspace(-1.0, 1.0, n)
+    return AveProblem(a, a @ x - np.abs(x))
+
+
+def _kernel_two():
+    # two copies of a 3 x 3 block B with entries +-1: B + I has rank 2, so
+    # the step matrix of s = -1 has a kernel of dimension 2, and b = A x + x
+    # for an x < 0 makes that branch consistent
+    block = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
+    a = np.kron(np.eye(2), block)
+    x = -np.array([1.0, 2.0, 0.5, 3.0, 1.0, 2.0])
+    return AveProblem(a, a @ x + x)
+
+
+def _qr_reference_cases():
+    cases = []
+    for n in (8, 12):
+        for seed in range(5):
+            cases.append(pytest.param(_singular_heavy(n, seed), id=f"singular-heavy-{n}-{seed}"))
+            cases.append(pytest.param(_laplacian_continuum(n, seed), id=f"continuum-{n}-{seed}"))
+    p = gen_random_3b(12, 4)
+    cases.append(pytest.param(p, id="rand3b-12"))
+    cases.append(pytest.param(AveProblem(p.a, -p.b), id="rand3b-neg-12"))
+    for n in range(10, 15):
+        cases.append(pytest.param(_ten_chain(n, upper=False), id=f"chain-lower-{n}"))
+        cases.append(pytest.param(_ten_chain(n, upper=True), id=f"chain-upper-{n}"))
+    cases.append(pytest.param(_kernel_two(), id="kernel-two"))
+    return cases
+
+
+@pytest.mark.parametrize("p", _qr_reference_cases())
+def test_qr_settlement_matches_the_stacked_svd(monkeypatch, p):
+    got = enumerate_solutions(p)
+    monkeypatch.setattr(oracle, "_probe_singular", _svd_probe)
+    want = enumerate_solutions(p)
+    assert [(br.pattern, br.consistent) for br in got.singular_branches] == [
+        (br.pattern, br.consistent) for br in want.singular_branches
+    ]
+    assert [x.tobytes() for x in got.isolated] == [x.tobytes() for x in want.isolated]
+
+
+def test_kernel_of_dimension_two_still_reaches_linprog(monkeypatch):
+    dims = []
+
+    def spy(x0, kernel, s, tol):
+        dims.append(kernel.shape[1])
+        return _sign_consistent_affine(x0, kernel, s, tol)
+
+    monkeypatch.setattr(oracle, "_sign_consistent_affine", spy)
+    branches = {br.pattern: br.consistent for br in enumerate_solutions(_kernel_two()).singular_branches}
+    assert branches[(-1,) * 6] is True
+    assert 2 in dims
+
+
+def _svd_rows(monkeypatch, p):
+    """The branches of p, and the step matrices that reach the SVD."""
+    rows = []
+    svd = np.linalg.svd
+
+    def counting(m):
+        rows.append(len(m))
+        return svd(m)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return enumerate_solutions(p).singular_branches, sum(rows)
+
+
+def test_only_undecided_branches_reach_the_svd(monkeypatch):
+    branches, rows = _svd_rows(monkeypatch, _singular_heavy(12, 5))
+    assert len(branches) == 4095 and rows == 0
+    branches, rows = _svd_rows(monkeypatch, _laplacian_continuum(12, 3))
+    assert [br.consistent for br in branches] == [True] and rows == 1
+    branches, rows = _svd_rows(monkeypatch, _ten_chain(12, upper=False))
+    assert len(branches) == 794 and rows == 794
+    # b = 1 is off the range of each block's B + I; the patterns with
+    # s = -1 in one block have one tiny diagonal in R, the pattern s = -1
+    # has two and goes to the SVD
+    branches, rows = _svd_rows(monkeypatch, AveProblem(_kernel_two().a, np.ones(6)))
+    assert len(branches) == 15 and not any(br.consistent for br in branches) and rows == 1
+
+
+def test_null_vector_that_overflows_leaves_the_branch_to_the_svd():
+    # R of m^T is m^T itself: one zero diagonal, last, above it diagonals
+    # of 1e-13 (not tiny) under a row of ones, so back substitution grows
+    # y past 1e154 and |y|^2 overflows; the row is not settled, without a
+    # warning, and the SVD decides it
+    n = 20
+    mt = np.triu(np.ones((n, n)), 1) + np.diag(np.r_[1.0, np.full(n - 2, 1e-13), 0.0])
+    s = np.ones((1, n))
+    a, b = mt.T + np.eye(n), np.ones(n)
+    range_tol = 1e-8 * np.linalg.norm(b)
+    assert oracle._off_range(a, s, b, range_tol).tolist() == [False]
+    got = oracle._probe_singular(a, b, s, np.ones(1, dtype=bool), range_tol)
+    assert got == _svd_probe(a, b, s, None, range_tol)
