@@ -762,6 +762,10 @@ _SYNTHETIC_DOCS = [
     [[[1.0, [2, [3.0, {"deep": [None]}]]]]],
     0.1,
     float("nan"),
+    # a float outside a list is written by _json itself, np.float64 too
+    np.float64("nan"),
+    float("-inf"),
+    np.float64(0.1),
     "just a string",
     None,
     7,
@@ -829,17 +833,19 @@ def test_json_output_does_not_use_the_indenting_python_encoder(tmp_path, capsys,
         assert json.loads(out)["input"] == path
 
 
-# main() without arguments, as the process runs it; the freeze count goes
-# to stderr after everything the call wrote there
+# main() without arguments, as the process runs it; main() ends the
+# process itself, so the freeze count is written by an exit handler, to
+# stderr after everything the call wrote there
 PROGRAM = (
-    "import gc, sys; from avekit.cli import main; c = main(); "
-    "sys.stderr.write(f'{gc.get_freeze_count()}'); sys.exit(c)"
+    "import atexit, gc, sys; from avekit.cli import main; "
+    "atexit.register(lambda: sys.stderr.write(f'{gc.get_freeze_count()}')); sys.exit(main())"
 )
 
 
-def _launch(*args, stdout=subprocess.PIPE):
+def _launch(*args, stdout=subprocess.PIPE, path=()):
     src = str(Path(avekit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    pythonpath = [*map(str, path), src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
     return subprocess.Popen([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env)
 
 
@@ -858,6 +864,46 @@ def test_program_mode_writes_what_the_library_writes_and_freezes_the_import_heap
         assert (proc.returncode, stdout, prefix) == (code, out.encode(), err.encode()), argv
         assert int(count) > 0, argv
     assert code == 2 and err.startswith("error: cannot read /nonexistent/nope.ave")
+
+
+# imported by site at start-up, so its handler is registered before the
+# module that -m names runs
+SITECUSTOMIZE = "import atexit, sys\natexit.register(lambda: sys.stdout.write('exit handler\\n'))\n"
+
+
+def test_program_mode_runs_the_exit_handlers_once_after_the_output(ex_files, tmp_path, capsys):
+    (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE)
+    calls = [
+        ["solve", ex_files[2]],
+        ["oracle", ex_files[4], "--json"],
+        ["solve", "/nonexistent/nope.ave"],
+        ["solve", write_problem(tmp_path, "sing.ave", [[1.0]], [1.0]), "--x0", "1"],
+        ["solve", write_problem(tmp_path, "cap.ave", [[0.1]], [1.0])],
+        ["solve", ex_files[2], "--x0", "1,banana"],
+    ]
+    codes = []
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        proc = _launch("-m", "avekit.cli", *argv, path=[tmp_path])
+        stdout, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stderr) == (code, err.encode()), argv
+        assert stdout == out.encode() + b"exit handler\n", argv
+        codes.append(code)
+    assert codes == [0, 0, 2, 3, 4, 6]
+
+
+def test_program_mode_writes_a_large_document_to_a_file_in_full(tmp_path, capsys):
+    # 4095 of the 4096 patterns of this problem are singular branches
+    path = write_problem(tmp_path, "singular_12.ave", *_singular_heavy(12))
+    argv = ["oracle", path, "--json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["result"]["singular_branches"]) == 2**12 - 1
+    with open(tmp_path / "out.json", "wb") as f:
+        proc = _launch("-m", "avekit.cli", *argv, stdout=f)
+        _, stderr = proc.communicate(timeout=60)
+    assert (proc.returncode, stderr) == (0, b"")
+    assert (tmp_path / "out.json").read_bytes() == out.encode()
 
 
 @pytest.mark.parametrize("command, k, flags", [("solve", 2, []), ("oracle", 4, ["--json"])])

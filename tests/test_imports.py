@@ -2,7 +2,9 @@
 that never reach a scipy routine never pay for its import.  Only
 ``oracle`` with a kernel of dimension 2 or more and ``classify`` on a
 nonsingular tridiagonal matrix that is not symmetric positive definite
-reach one.  Nor does a call compile source text at run time."""
+reach one.  No call imports json, and only a call that makes a file
+digest imports hashlib.  Nor does a call compile source text at run
+time."""
 
 import ast
 import os
@@ -98,6 +100,41 @@ def test_call_leaves_scipy_unloaded(tmp_path, argv):
         check=True,
     )
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+# Runs one CLI call with its output captured and prints its exit code and
+# which of json and hashlib it left loaded.
+STDLIB_PROBE = """
+import contextlib, io, sys
+from avekit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, [m for m in ("json", "hashlib") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        # --json is written without json, and no digest is made
+        pytest.param(["reproduce", "--examples", "--json"], [], id="reproduce-examples"),
+        # the digest of the input needs hashlib
+        pytest.param(["solve", "ex1.ave", "--json"], ["hashlib"], id="solve-ex1"),
+    ],
+)
+def test_call_leaves_json_unloaded(tmp_path, argv, loaded):
+    save(tmp_path / "ex1.ave", gen_example1(50), {})
+    pythonpath = [str(SRC.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    out = subprocess.run(
+        [sys.executable, "-c", STDLIB_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
 # Imports numpy, then counts the source texts passed to exec, eval or
